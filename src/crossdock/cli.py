@@ -194,7 +194,8 @@ def _run_batch(args: argparse.Namespace, mode: str) -> int:
     )
     if report.failed:
         for tid in sorted(report.failed):
-            print(f"failed after {report.failed[tid]} attempts: {tid}", file=sys.stderr)
+            print(f"failed after {report.failed[tid]} attempts: {tid}: {report.errors[tid]}",
+                  file=sys.stderr)
         return EXIT_FAILED_TASKS
     return EXIT_OK
 

@@ -3,15 +3,17 @@ results.
 
 All batch-state mutations happen on one event loop fed by connection events,
 so state transitions are atomic per message no matter how many workers are
-connected. A worker connection closing is worker death: its in-flight tasks
-are requeued at the front of the queue (or recorded as permanently failed
-once ``max_attempts`` is exhausted). There is no timeout-based straggler
-reassignment.
+connected. Two events charge a task one attempt: a TASK_FAILED for it from
+the connection that holds it, and the loss of that connection (close, send
+error or malformed frame), which charges every task it held. A charged task
+is requeued at the front of the queue, or recorded as permanently failed
+with its last failure reason once ``max_attempts`` is spent. There is no
+timeout-based straggler reassignment.
 
-A REQUEST that arrives while the queue is empty but tasks are still in
-flight is parked, because any in-flight task may yet fail and need the
-requester; parked lanes are answered by the requeued task or, at batch
-completion, by the SHUTDOWN broadcast.
+Every REQUEST is parked and parked lanes are served in arrival order: at
+once while the queue holds a task, otherwise by a requeued task (any
+in-flight task may yet fail) or, at batch completion, by the SHUTDOWN
+broadcast.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..docking import TSV_HEADER, DockingResult
 from ..errors import DispatchError, WireError
 from . import wire
 from .tasks import DockingTask, execute_task
+from .worker import run_lane
 
 __all__ = [
     "DispatchPolicy",
@@ -59,6 +62,7 @@ class BatchReport:
     task_order: tuple[str, ...]
     completed: dict[str, DockingResult]
     failed: dict[str, int]  # task_id -> attempts spent
+    errors: dict[str, str]  # failed task_id -> last failure reason
     per_worker: dict[str, int]  # worker_id -> completed-task count
     wall_time: float
 
@@ -73,7 +77,8 @@ class BatchReport:
                 self.completed[tid].to_dict() for tid in self.task_order if tid in self.completed
             ],
             "failed": [
-                {"task_id": tid, "attempts": self.failed[tid]} for tid in sorted(self.failed)
+                {"task_id": tid, "attempts": self.failed[tid], "error": self.errors[tid]}
+                for tid in sorted(self.failed)
             ],
             "per_worker": dict(sorted(self.per_worker.items())),
             "wall_time_s": self.wall_time,
@@ -124,6 +129,7 @@ class BatchState:
         self.completed: dict[str, DockingResult] = {}
         self.failed_attempts: dict[str, int] = {}
         self.permanently_failed: dict[str, int] = {}
+        self.last_error: dict[str, str] = {}
         self._assign_seq = 0
         self._hook = transition_hook
         self._check()
@@ -168,28 +174,44 @@ class BatchState:
         self._check()
         return True
 
-    def worker_lost(self, conn: object) -> tuple[list[DockingTask], list[str]]:
-        """Requeue (at the front) or permanently fail every task the lost
-        connection held. Returns (requeued, newly_failed_ids)."""
+    def _charge(self, task: DockingTask, reason: str) -> None:
+        """Charge one attempt to an in-flight task: requeue it at the front,
+        or fail it permanently once max_attempts is spent."""
+        tid = task.task_id
+        del self.in_flight[tid]
+        attempts = self.failed_attempts.get(tid, 0) + 1
+        self.failed_attempts[tid] = attempts
+        self.last_error[tid] = reason
+        if attempts >= self.max_attempts:
+            self.permanently_failed[tid] = attempts
+            log.warning("task %s permanently failed after %d attempts: %s",
+                        tid, attempts, reason)
+        else:
+            self.pending.appendleft(task)
+
+    def task_failed(self, conn: object, task_id: str, reason: str) -> bool:
+        """Charge task_id one attempt if ``conn`` holds it; True when charged.
+        A failure for a task the connection does not hold is stale and
+        changes nothing."""
+        held = self.in_flight.get(task_id)
+        if held is None or held[1] is not conn:
+            return False
+        self._charge(held[0], reason)
+        self._check()
+        return True
+
+    def worker_lost(self, conn: object) -> list[str]:
+        """Charge one attempt to every task the lost connection held;
+        returns their ids."""
         held = sorted(
             (seq, task)
             for task, c, _w, seq in self.in_flight.values()
             if c is conn
         )
-        requeued: list[DockingTask] = []
-        newly_failed: list[str] = []
-        for _seq, task in reversed(held):  # extendleft order: earliest assigned first
-            del self.in_flight[task.task_id]
-            attempts = self.failed_attempts.get(task.task_id, 0) + 1
-            self.failed_attempts[task.task_id] = attempts
-            if attempts >= self.max_attempts:
-                self.permanently_failed[task.task_id] = attempts
-                newly_failed.append(task.task_id)
-            else:
-                self.pending.appendleft(task)
-                requeued.append(task)
+        for _seq, task in reversed(held):  # appendleft order: earliest assigned first
+            self._charge(task, "worker lost")
         self._check()
-        return requeued, newly_failed
+        return [task.task_id for _seq, task in held]
 
 
 class _MasterCore:
@@ -209,14 +231,12 @@ class _MasterCore:
         self.dead: set[object] = set()
         self._idle_since = time.monotonic()
 
-    def _send(self, conn: object, msg) -> bool:
+    def _send(self, conn: object, msg) -> None:
         try:
             conn.send(msg)
-            return True
         except OSError:
             if conn not in self.dead:
                 self.events.put(("closed", conn, None))
-            return False
 
     def _register(self, conn: object, worker_id: str) -> None:
         self.workers[conn] = worker_id
@@ -228,30 +248,16 @@ class _MasterCore:
             if conn in self.dead:
                 continue
             task = self.state.assign_next(conn, worker_id)
-            if not self._send(conn, wire.Assign(task)):
-                # send failure turns into a closed event; task requeues there
-                pass
-
-    def _handle_request(self, conn: object, worker_id: str) -> None:
-        if self.state.pending:
-            task = self.state.assign_next(conn, worker_id)
+            # A failed send becomes a closed event, which charges the task.
             self._send(conn, wire.Assign(task))
-        elif self.state.all_terminal():
-            self._send(conn, wire.NoMoreTasks())
-        else:
-            self.parked.append((conn, worker_id))
 
     def _handle_closed(self, conn: object) -> None:
         if conn in self.dead:
             return
         self.dead.add(conn)
         self.parked = deque(p for p in self.parked if p[0] is not conn)
-        requeued, newly_failed = self.state.worker_lost(conn)
-        if requeued:
-            log.info("worker %s lost; requeued %d task(s)", self.workers.get(conn), len(requeued))
-        for tid in newly_failed:
-            log.warning("task %s permanently failed after %d attempts",
-                        tid, self.state.permanently_failed[tid])
+        charged = self.state.worker_lost(conn)
+        log.info("worker %s lost; charged %d task(s)", self.workers.get(conn), len(charged))
         self.workers.pop(conn, None)
         if not self.workers:
             self._idle_since = time.monotonic()
@@ -265,12 +271,8 @@ class _MasterCore:
             if not self.workers and not self.state.in_flight:
                 # No live workers: bounded wait for the first (or a
                 # replacement) connection instead of hanging forever.
-                remaining = self.policy.startup_timeout - (time.monotonic() - self._idle_since)
-                if remaining <= 0:
-                    raise DispatchError(
-                        f"no worker connected within {self.policy.startup_timeout} s"
-                    )
-                timeout = remaining
+                waited = time.monotonic() - self._idle_since
+                timeout = max(0.0, self.policy.startup_timeout - waited)
             try:
                 kind, conn, msg = self.events.get(timeout=timeout)
             except queue.Empty:
@@ -288,13 +290,19 @@ class _MasterCore:
             elif isinstance(msg, wire.Request):
                 if conn not in self.workers:
                     self._register(conn, msg.worker_id)
-                self._handle_request(conn, msg.worker_id)
+                self.parked.append((conn, msg.worker_id))
+                self._serve_parked()
             elif isinstance(msg, wire.Result):
                 if self.state.record_result(msg.task_id, msg.result):
                     worker_id = self.workers.get(conn, "unknown")
                     self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
                 else:
                     log.info("discarding duplicate/stale result for %s", msg.task_id)
+            elif isinstance(msg, wire.TaskFailed):
+                if self.state.task_failed(conn, msg.task_id, msg.error):
+                    self._serve_parked()
+                else:
+                    log.info("discarding stale failure for %s", msg.task_id)
             else:
                 log.warning("ignoring unexpected message %r", msg)
 
@@ -304,6 +312,7 @@ class _MasterCore:
             task_order=self.state.task_order,
             completed=dict(self.state.completed),
             failed=dict(self.state.permanently_failed),
+            errors={tid: self.state.last_error[tid] for tid in self.state.permanently_failed},
             per_worker=dict(self.per_worker),
             wall_time=time.monotonic() - t_start,
         )
@@ -335,9 +344,12 @@ def _reader(conn: _TcpConn, events: queue.Queue) -> None:
             if msg is None:
                 break
             events.put(("msg", conn, msg))
-    except (OSError, WireError):
+    except WireError as exc:
+        log.warning("dropping connection %s: %s", conn.peer, exc)
+    except OSError:
         pass
-    events.put(("closed", conn, None))
+    finally:
+        events.put(("closed", conn, None))
 
 
 def master_run(
@@ -389,44 +401,19 @@ def master_run(
 
 
 class _LocalConn:
-    """In-memory stand-in for a worker connection."""
+    """In-memory worker connection: the master sends into ``inbox``, the
+    lane posts onto the master's event queue."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, events: queue.Queue):
+        self.events = events
         self.inbox: queue.Queue = queue.Queue()
 
     def send(self, msg) -> None:
         self.inbox.put(msg)
 
-    def close(self) -> None:
-        self.inbox.put(wire.Shutdown())
-
-
-def _local_lane(
-    core: _MasterCore,
-    conn: _LocalConn,
-    worker_id: str,
-    executor: Callable[[DockingTask], DockingResult],
-    respawn: Callable[[str], None],
-) -> None:
-    events = core.events
-    events.put(("msg", conn, wire.Hello(worker_id, 1)))
-    while True:
-        events.put(("msg", conn, wire.Request(worker_id)))
-        msg = conn.inbox.get()
-        if isinstance(msg, wire.Assign):
-            try:
-                result = executor(msg.task)
-            except Exception:
-                log.exception("task %s raised; lane %s dies and respawns",
-                              msg.task.task_id, worker_id)
-                events.put(("closed", conn, None))
-                respawn(worker_id)
-                return
-            events.put(("msg", conn, wire.Result(msg.task.task_id, result)))
-        elif isinstance(msg, (wire.NoMoreTasks, wire.Shutdown)):
-            events.put(("closed", conn, None))
-            return
+    def post(self, msg) -> bool:
+        self.events.put(("msg", self, msg))
+        return True
 
 
 def local_pool_run(
@@ -436,48 +423,34 @@ def local_pool_run(
     executor: Callable[[DockingTask], DockingResult] = execute_task,
     transition_hook=None,
 ) -> BatchReport:
-    """master_run plus ``workers`` single-slot workers over an in-memory
-    channel, all inside this process.
+    """master_run plus ``workers`` single-slot lanes (run_lane, as in
+    worker_loop) over in-memory connections, all inside this process.
 
     Unlike master_run, an empty task list is accepted and yields an empty
-    report. A lane whose executor raises is treated as a lost worker (its
-    task requeues) and is respawned so the pool keeps its size.
+    report. A task whose executor raises costs only itself one attempt;
+    its lane keeps serving.
     """
     if workers < 1:
         raise DispatchError(f"workers must be >= 1, got {workers}")
     policy = policy or DispatchPolicy()
     if not tasks:
-        return BatchReport(task_order=(), completed={}, failed={}, per_worker={},
+        return BatchReport(task_order=(), completed={}, failed={}, errors={}, per_worker={},
                            wall_time=0.0)
 
     core = _MasterCore(tasks, policy, transition_hook)
-    registry_lock = threading.Lock()
-    registry: list[_LocalConn] = []
-    threads: list[threading.Thread] = []
-    finished = threading.Event()
-
-    def spawn(worker_id: str) -> None:
-        with registry_lock:
-            if finished.is_set():
-                return
-            conn = _LocalConn(worker_id)
-            registry.append(conn)
-            thread = threading.Thread(
-                target=_local_lane, args=(core, conn, worker_id, executor, spawn),
-                daemon=True,
-            )
-            threads.append(thread)
-        thread.start()
-
-    for i in range(workers):
-        spawn(f"local-{i}")
+    conns = [_LocalConn(core.events) for _ in range(workers)]
+    lanes = [
+        threading.Thread(target=run_lane, args=(conn.post, conn.inbox.get, executor, f"local-{i}"),
+                         daemon=True)
+        for i, conn in enumerate(conns)
+    ]
+    for lane in lanes:
+        lane.start()
     try:
         report = core.run()
     finally:
-        with registry_lock:
-            finished.set()
-            for conn in registry:
-                conn.close()
-    for thread in threads:
-        thread.join(timeout=10)
+        for conn in conns:
+            conn.send(wire.Shutdown())
+    for lane in lanes:
+        lane.join(timeout=10)
     return report

@@ -2,7 +2,9 @@
 
 Framing: a 4-byte big-endian unsigned payload length, then the UTF-8 JSON
 payload. Every message is an object with a "type" field from {HELLO,
-REQUEST, ASSIGN, RESULT, NO_MORE_TASKS, SHUTDOWN} and "v": 1.
+REQUEST, ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 1. TASK_FAILED
+names a task whose executor raised and carries the error text. A malformed
+payload, whatever its bytes, raises WireError and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "Request",
     "Assign",
     "Result",
-    "NoMoreTasks",
+    "TaskFailed",
     "Shutdown",
     "Message",
     "encode_message",
@@ -61,8 +63,9 @@ class Result:
 
 
 @dataclass(frozen=True)
-class NoMoreTasks:
-    pass
+class TaskFailed:
+    task_id: str
+    error: str
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class Shutdown:
     pass
 
 
-Message = Hello | Request | Assign | Result | NoMoreTasks | Shutdown
+Message = Hello | Request | Assign | Result | TaskFailed | Shutdown
 
 
 def _payload(msg: Message) -> dict:
@@ -82,8 +85,8 @@ def _payload(msg: Message) -> dict:
         return {"type": "ASSIGN", "task": msg.task.to_dict()}
     if isinstance(msg, Result):
         return {"type": "RESULT", "task_id": msg.task_id, "result": msg.result.to_dict()}
-    if isinstance(msg, NoMoreTasks):
-        return {"type": "NO_MORE_TASKS"}
+    if isinstance(msg, TaskFailed):
+        return {"type": "TASK_FAILED", "task_id": msg.task_id, "error": msg.error}
     if isinstance(msg, Shutdown):
         return {"type": "SHUTDOWN"}
     raise WireError(f"unknown message {msg!r}")
@@ -99,15 +102,12 @@ def encode_message(msg: Message) -> bytes:
 def decode_message(payload: bytes) -> Message:
     try:
         body = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable payload: {exc}") from None
-    if not isinstance(body, dict):
-        raise WireError(f"payload is not an object: {body!r}")
-    version = body.get("v")
-    if version != PROTOCOL_VERSION:
-        raise WireError(f"unsupported protocol version {version!r}")
-    kind = body.get("type")
-    try:
+        if not isinstance(body, dict):
+            raise WireError(f"payload is a JSON {type(body).__name__}, not an object")
+        version = body.get("v")
+        if version != PROTOCOL_VERSION:
+            raise WireError(f"unsupported protocol version {version!r}")
+        kind = body.get("type")
         if kind == "HELLO":
             return Hello(worker_id=str(body["worker_id"]), slots=int(body["slots"]))
         if kind == "REQUEST":
@@ -119,26 +119,30 @@ def decode_message(payload: bytes) -> Message:
                 task_id=str(body["task_id"]),
                 result=DockingResult.from_dict(body["result"]),
             )
-        if kind == "NO_MORE_TASKS":
-            return NoMoreTasks()
+        if kind == "TASK_FAILED":
+            return TaskFailed(task_id=str(body["task_id"]), error=str(body["error"]))
         if kind == "SHUTDOWN":
             return Shutdown()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed {kind} message: {exc}") from None
-    raise WireError(f"unknown message type {kind!r}")
+        raise WireError(f"unknown message type {kind!r}")
+    # Bad UTF-8 or JSON, nesting too deep, or fields of the wrong shape.
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
+        raise WireError(f"malformed payload: {type(exc).__name__}: {exc}") from None
 
 
 def send_message(sock: socket.socket, msg: Message) -> None:
     sock.sendall(encode_message(msg))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    chunks = []
-    got = 0
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    """Exactly ``count`` bytes, or b"" on EOF before the first of them."""
+    chunks, got = [], 0
     while got < count:
         chunk = sock.recv(count - got)
         if not chunk:
-            return None
+            if got:
+                raise WireError("connection closed mid-frame")
+            return b""
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
@@ -147,12 +151,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
 def recv_message(sock: socket.socket) -> Message | None:
     """Read one framed message; None on clean EOF before a frame starts."""
     header = _recv_exact(sock, _LEN.size)
-    if header is None:
+    if not header:
         return None
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
     payload = _recv_exact(sock, length)
-    if payload is None:
+    if len(payload) < length:
         raise WireError("connection closed mid-frame")
     return decode_message(payload)

@@ -1,9 +1,11 @@
-"""Worker process: connect to the master and run concurrent task lanes.
+"""Worker side of dispatch: the lane loop, and the TCP worker that runs it.
 
-One connection per worker carries ``slots`` lanes. Each lane loops
-REQUEST -> ASSIGN -> dock -> RESULT; ASSIGN/NO_MORE_TASKS replies are
-interchangeable between lanes, so a single reader thread feeds them into a
-shared response queue. SHUTDOWN (or EOF) stops every lane.
+A lane (run_lane) loops REQUEST -> ASSIGN -> execute -> RESULT, or
+TASK_FAILED when the executor raises, and keeps serving either way.
+worker_loop runs ``slots`` lanes over one connection, whose reader thread
+feeds the ASSIGN replies (interchangeable between lanes) into a shared
+queue; SHUTDOWN, EOF or a malformed frame stops every lane. local_pool_run
+runs the same lanes over in-memory connections.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import queue
 import socket
 import threading
 import time
+from typing import Callable
 
+from ..docking import DockingResult
 from ..errors import DispatchError, WireError
 from . import wire
-from .tasks import execute_task
+from .tasks import DockingTask, execute_task
 
-__all__ = ["worker_loop"]
+__all__ = ["run_lane", "worker_loop"]
 
 log = logging.getLogger(__name__)
-
-_STOP = object()
 
 
 def _connect_with_backoff(
@@ -49,6 +51,46 @@ def _connect_with_backoff(
     raise AssertionError("unreachable")
 
 
+def run_lane(
+    send: Callable[[wire.Message], bool],
+    recv: Callable[[], wire.Message | None],
+    executor: Callable[[DockingTask], DockingResult],
+    worker_id: str,
+) -> int:
+    """Serve tasks until SHUTDOWN or the end of the connection; returns
+    the number of results delivered.
+
+    ``send`` returns False once the connection is gone; ``recv`` returns
+    None at its end.
+    """
+    delivered = 0
+    while send(wire.Request(worker_id)):
+        msg = recv()
+        if msg is None or isinstance(msg, wire.Shutdown):
+            break
+        if not isinstance(msg, wire.Assign):
+            log.warning("lane %s ignoring unexpected %r", worker_id, msg)
+            continue
+        task_id = msg.task.task_id
+        try:
+            reply = wire.Result(task_id, executor(msg.task))
+        except Exception as exc:
+            log.exception("task %s failed", task_id)
+            reply = wire.TaskFailed(task_id, f"{type(exc).__name__}: {exc}")
+        if not send(reply):
+            break
+        if isinstance(reply, wire.Result):
+            delivered += 1
+    return delivered
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 def worker_loop(
     connect: tuple[str, int],
     slots: int = 4,
@@ -60,9 +102,10 @@ def worker_loop(
 ) -> int:
     """Serve tasks from the master at ``connect`` until the batch drains.
 
-    Returns the number of tasks this worker completed. Raises DispatchError
-    when the master stays unreachable after the retry budget (1 s backoff
-    doubling to the 30 s cap by default).
+    Returns the number of results this worker delivered; a failing task
+    costs only itself. Raises DispatchError when the master stays
+    unreachable after the retry budget (1 s backoff doubling to the 30 s
+    cap by default).
     """
     if slots < 1:
         raise DispatchError(f"slots must be >= 1, got {slots}")
@@ -71,8 +114,6 @@ def worker_loop(
 
     send_lock = threading.Lock()
     responses: queue.Queue = queue.Queue()
-    stop = threading.Event()
-    done_count = threading.Semaphore(0)
 
     def send(msg) -> bool:
         try:
@@ -80,7 +121,7 @@ def worker_loop(
                 wire.send_message(sock, msg)
             return True
         except OSError:
-            stop.set()
+            _shutdown(sock)  # ends the reader, which stops every lane
             return False
 
     def reader() -> None:
@@ -90,51 +131,24 @@ def worker_loop(
                 if msg is None or isinstance(msg, wire.Shutdown):
                     break
                 responses.put(msg)
-        except (OSError, WireError):
-            pass
-        stop.set()
-        for _ in range(slots):
-            responses.put(_STOP)
-
-    task_failed = threading.Event()
-
-    def abort() -> None:
-        # Dropping the connection is the only failure signal in the wire
-        # vocabulary; the master requeues whatever this worker held.
-        stop.set()
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
+        except WireError as exc:
+            log.warning("dropping the master connection: %s", exc)
         except OSError:
             pass
-
-    def lane(index: int) -> None:
-        while not stop.is_set():
-            if not send(wire.Request(worker_id)):
-                return
-            msg = responses.get()
-            if msg is _STOP or isinstance(msg, wire.NoMoreTasks):
-                return
-            if not isinstance(msg, wire.Assign):
-                log.warning("lane %d ignoring unexpected %r", index, msg)
-                continue
-            log.info("lane %d docking %s", index, msg.task.task_id)
-            try:
-                result = executor(msg.task)
-            except Exception:
-                log.exception("task %s failed; dropping the connection",
-                              msg.task.task_id)
-                task_failed.set()
-                abort()
-                return
-            done_count.release()
-            if not send(wire.Result(msg.task.task_id, result)):
-                return
+        finally:
+            for _ in range(slots):
+                responses.put(None)
 
     if not send(wire.Hello(worker_id, slots)):
         sock.close()
         raise DispatchError("master connection lost during handshake")
     reader_thread = threading.Thread(target=reader, daemon=True)
     reader_thread.start()
+    delivered = [0] * slots
+
+    def lane(index: int) -> None:
+        delivered[index] = run_lane(send, responses.get, executor, worker_id)
+
     lanes = [threading.Thread(target=lane, args=(i,), daemon=True) for i in range(slots)]
     for t in lanes:
         t.start()
@@ -142,21 +156,10 @@ def worker_loop(
         for t in lanes:
             t.join()
     finally:
-        stop.set()
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        _shutdown(sock)
         sock.close()
         reader_thread.join(timeout=5)
 
-    completed = 0
-    while done_count.acquire(blocking=False):
-        completed += 1
-    if task_failed.is_set():
-        raise DispatchError(
-            f"worker {worker_id} aborted on a failing task "
-            f"({completed} task(s) completed first)"
-        )
+    completed = sum(delivered)
     log.info("worker %s done: %d task(s) completed", worker_id, completed)
     return completed

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossdock.docking import Rotation, rotate_structure
+from crossdock.docking import DockingResult, Pose, Rotation, rotate_structure
+from crossdock.grid import GridSpec, ScoringParams
 from crossdock.pdb_io import AtomRecord, Structure, bounding_box, structure_to_pdb
 
 # Atom spacing for grid-aligned synthetic shapes: two 1.2 A voxels. With an
@@ -104,3 +105,13 @@ def random_structure(rng: np.random.Generator, sid: str, n_atoms: int,
         for i, c in enumerate(coords)
     )
     return Structure(id=sid, atoms=atoms)
+
+
+def sample_result(task_id: str = "r1__l1") -> DockingResult:
+    """A small hand-made DockingResult for dispatch and wire tests."""
+    poses = (Pose(3, 1, 2, 0, 12.5), Pose(0, 7, 7, 7, -1.0))
+    return DockingResult(
+        task_id=task_id, receptor_id="r1", ligand_id="l1",
+        grid_spec=GridSpec(8, 1.2, (0.5, -1.0, 2.25)), params=ScoringParams(),
+        angular_step=90.0, top_poses=poses, best_score=12.5, wall_time=0.25,
+    )
