@@ -132,9 +132,19 @@ class BatchState:
         self.last_error: dict[str, str] = {}
         self._assign_seq = 0
         self._hook = transition_hook
-        self._check()
+        self._check(*self.task_order)
 
-    def _check(self) -> None:
+    def _check(self, *moved: str) -> None:
+        """Raise DispatchError unless the four groups still hold every task
+        once, then call the transition hook.
+
+        Every transition checks conservation (the group sizes sum to the
+        batch) and that each id it ``moved`` sits in at most one of
+        in_flight, completed and permanently_failed (in none when requeued
+        to pending). __init__ checks every id of the batch; from there this
+        keeps the partition by induction at O(1) per transition, and every
+        id is checked once more when the batch becomes terminal.
+        """
         n = len(self.pending) + len(self.in_flight) + len(self.completed) + len(
             self.permanently_failed
         )
@@ -144,11 +154,10 @@ class BatchState:
                 f"{len(self.in_flight)} in flight + {len(self.completed)} completed + "
                 f"{len(self.permanently_failed)} failed != {self.total}"
             )
-        overlap = (
-            (set(self.in_flight) & set(self.completed))
-            | (set(self.in_flight) & set(self.permanently_failed))
-            | (set(self.completed) & set(self.permanently_failed))
-        )
+        if self.all_terminal():
+            moved = self.task_order
+        groups = (self.in_flight, self.completed, self.permanently_failed)
+        overlap = {tid for tid in moved if sum(tid in g for g in groups) > 1}
         if overlap:
             raise DispatchError(f"task states overlap: {sorted(overlap)}")
         if self._hook is not None:
@@ -161,7 +170,7 @@ class BatchState:
         task = self.pending.popleft()
         self._assign_seq += 1
         self.in_flight[task.task_id] = (task, conn, worker_id, self._assign_seq)
-        self._check()
+        self._check(task.task_id)
         return task
 
     def record_result(self, task_id: str, result: DockingResult) -> bool:
@@ -171,7 +180,7 @@ class BatchState:
             return False
         del self.in_flight[task_id]
         self.completed[task_id] = result
-        self._check()
+        self._check(task_id)
         return True
 
     def _charge(self, task: DockingTask, reason: str) -> None:
@@ -197,7 +206,7 @@ class BatchState:
         if held is None or held[1] is not conn:
             return False
         self._charge(held[0], reason)
-        self._check()
+        self._check(task_id)
         return True
 
     def worker_lost(self, conn: object) -> list[str]:
@@ -210,7 +219,7 @@ class BatchState:
         )
         for _seq, task in reversed(held):  # appendleft order: earliest assigned first
             self._charge(task, "worker lost")
-        self._check()
+        self._check(*(task.task_id for _seq, task in held))
         return [task.task_id for _seq, task in held]
 
 

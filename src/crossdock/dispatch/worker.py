@@ -75,8 +75,11 @@ def run_lane(
         try:
             reply = wire.Result(task_id, executor(msg.task))
         except Exception as exc:
-            log.exception("task %s failed", task_id)
-            reply = wire.TaskFailed(task_id, f"{type(exc).__name__}: {exc}")
+            reason = f"{type(exc).__name__}: {exc}"
+            # One line per failed attempt; the traceback only when verbose.
+            log.warning("task %s failed: %s", task_id, reason,
+                        exc_info=log.isEnabledFor(logging.INFO))
+            reply = wire.TaskFailed(task_id, reason)
         if not send(reply):
             break
         if isinstance(reply, wire.Result):

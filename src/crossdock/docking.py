@@ -217,10 +217,10 @@ def rotate_structure(s: Structure, r: Rotation, center) -> Structure:
     Atom order and identities are unchanged; the identity rotation returns
     the coordinates untouched (bit for bit).
     """
-    if not s.atoms:
+    if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
     if r.is_identity:
-        return Structure(id=s.id, atoms=s.atoms, source_path=s.source_path)
+        return s
     c = np.asarray(center, dtype=np.float64)
     coords = (s.coords() - c) @ r.matrix().T + c
     return s.with_coords(coords)
@@ -428,26 +428,38 @@ class _TopK:
 
     heapq keeps the *worst* kept entry at the root by storing the inverted
     key (score, -rotation, -tx, -ty, -tz); the kept set depends only on the
-    multiset of candidates, never on insertion order.
+    multiset of candidates, never on insertion order. Once K entries are
+    kept, ``floor`` is the root's score: it never decreases, and no entry
+    scoring below it can enter the set any more.
     """
 
     def __init__(self, k: int):
         self.k = k
         self._heap: list[tuple] = []
-
-    def worst_inv_key(self):
-        return self._heap[0][:5] if len(self._heap) == self.k else None
+        self.floor: float | None = None
 
     def offer(self, inv_key: tuple) -> bool:
         """inv_key = (score, -ri, -tx, -ty, -tz). Returns False once the
         candidate (and everything worse) can be discarded."""
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, inv_key)
-            return True
-        if inv_key <= self._heap[0]:
+        elif inv_key <= self._heap[0]:
             return False
-        heapq.heapreplace(self._heap, inv_key)
+        else:
+            heapq.heapreplace(self._heap, inv_key)
+        if len(self._heap) == self.k:
+            self.floor = self._heap[0][0]
         return True
+
+    def merge(self, ri: int, idx: np.ndarray, scores: np.ndarray, n: int) -> None:
+        """Offer rotation ``ri``'s candidates from _best_candidates (flat
+        indices into its n^3 volume, best first) until one is rejected."""
+        n2 = n * n
+        for flat, score in zip(idx.tolist(), scores.tolist()):
+            tx, rem = divmod(flat, n2)
+            ty, tz = divmod(rem, n)
+            if not self.offer((score, -ri, -tx, -ty, -tz)):
+                break  # candidates arrive best-first; the rest are worse
 
     def sorted_poses(self) -> list[Pose]:
         out = []
@@ -456,20 +468,36 @@ class _TopK:
         return out
 
 
-def _best_candidates(volume: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_candidates(
+    volume: np.ndarray, k: int, floor: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices and scores of the k best entries of one correlation
-    volume, ordered by score descending then flat index ascending (flat
-    index ascending is (tx, ty, tz) ascending for the [x, y, z] layout)."""
-    neg = -volume.ravel()
-    k = min(k, neg.size)
-    if k == neg.size:
-        sel = np.arange(neg.size)
+    volume that score at least ``floor``, ordered by score descending then
+    flat index ascending (flat index ascending is (tx, ty, tz) ascending
+    for the [x, y, z] layout).
+
+    ``floor`` is a published _TopK.floor: an entry below it could never
+    enter the top-K, so dropping it first changes no merged result, at any
+    thread count. Without a floor every entry is a candidate.
+    """
+    flat = volume.ravel()
+    k = min(k, flat.size)
+    if floor is not None:
+        sel = np.flatnonzero(flat >= floor)
+        neg = -flat[sel]
+        if sel.size > k:
+            keep = neg <= np.partition(neg, k - 1)[k - 1]
+            sel, neg = sel[keep], neg[keep]
     else:
-        kth = np.partition(neg, k - 1)[k - 1]
-        sel = np.flatnonzero(neg <= kth)
-    order = np.lexsort((sel, neg[sel]))[:k]
-    idx = sel[order]
-    return idx, volume.ravel()[idx]
+        neg = -flat
+        if k == neg.size:
+            sel = np.arange(neg.size)
+        else:
+            kth = np.partition(neg, k - 1)[k - 1]
+            sel = np.flatnonzero(neg <= kth)
+        neg = neg[sel]
+    idx = sel[np.lexsort((sel, neg))[:k]]
+    return idx, flat[idx]
 
 
 def _dock(
@@ -503,8 +531,6 @@ def _dock(
     rec_hat_conj = np.conj(np.fft.fftn(rec_grid.voxels))
     t0 = clock("transform", t0)
 
-    n = spec.n
-    n2 = n * n
     top = _TopK(config.top_k)
 
     def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,19 +539,21 @@ def _dock(
         t0 = clock("rotate", t0)
         lig_grid = assign_grid(rotated, spec, LIGAND, config.params)
         t0 = clock("voxelize", t0)
-        volume = np.real(np.fft.ifftn(rec_hat_conj * np.fft.fftn(lig_grid.voxels)))
+        # Every pool thread holds these n^3 buffers at once, so each is
+        # dropped once spent. The product stays out of place and in this
+        # operand order: in place or swapped, it can round differently.
+        spectrum = rec_hat_conj * np.fft.fftn(lig_grid.voxels)
+        del lig_grid
+        volume = np.real(np.fft.ifftn(spectrum))
+        del spectrum
         t0 = clock("transform", t0)
-        idx, scores = _best_candidates(volume, config.top_k)
+        idx, scores = _best_candidates(volume, config.top_k, top.floor)
         clock("reduce", t0)
         return idx, scores
 
     def merge(ri: int, idx: np.ndarray, scores: np.ndarray) -> None:
         t0 = time.perf_counter()
-        for flat, score in zip(idx.tolist(), scores.tolist()):
-            tx, rem = divmod(flat, n2)
-            ty, tz = divmod(rem, n)
-            if not top.offer((score, -ri, -tx, -ty, -tz)):
-                break  # candidates arrive best-first; the rest are worse
+        top.merge(ri, idx, scores, spec.n)
         clock("reduce", t0)
 
     workers = config.resolved_threads()

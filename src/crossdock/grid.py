@@ -175,31 +175,54 @@ def choose_grid_size(
     return GridSpec(n=n, pitch=pitch, origin=(float(origin[0]), float(origin[1]), float(origin[2])))
 
 
+# Candidate voxels (atoms x stencil cells) rasterized per chunk, which bounds
+# the temporaries for large receptors on fine lattices.
+_CORE_MASK_CHUNK_CELLS = 1 << 18
+
+
 def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     """Boolean (n,n,n) mask of voxels whose center lies within ``radius`` of
-    any atom center. Raises GridOverflowError (naming the atom serial) when
-    an atom's inflated bounding cube maps outside the voxel lattice."""
+    any atom center. Raises GridOverflowError (naming the serial of the
+    first such atom in file order) when an atom's inflated bounding cube
+    maps outside the voxel lattice.
+
+    All atoms are rasterized at once: each atom's voxel extent [lo, hi] per
+    axis, then one stencil of m = max(hi - lo) + 1 offsets per axis from lo,
+    where offsets past an atom's hi are excluded, then a single scatter.
+    Distances use the float operations, in the order, of a per-atom scan
+    of [lo, hi] (tests keep that scan as the oracle), so the mask is bit
+    identical to it.
+    """
     n, pitch = spec.n, spec.pitch
     origin = np.asarray(spec.origin)
-    mask = np.zeros((n, n, n), dtype=bool)
+    xyz = s.coords()
+    lo = np.ceil((xyz - radius - origin) / pitch).astype(np.int64)
+    hi = np.floor((xyz + radius - origin) / pitch).astype(np.int64)
+    outside = np.flatnonzero((lo < 0).any(axis=1) | (hi > n - 1).any(axis=1))
+    if outside.size:
+        raise GridOverflowError(s.atoms[outside[0]].serial,
+                                "inflated atom extends outside the grid")
+    mask = np.zeros(n * n * n, dtype=bool)
+    m = int((hi - lo).max(initial=-1)) + 1
+    if m < 1:
+        return mask.reshape(n, n, n)  # no sphere catches a voxel center
+    steps = np.arange(m)
+    ox, oy, oz = np.meshgrid(steps, steps, steps, indexing="ij")
+    stencil = ((ox * n + oy) * n + oz).ravel()
     r2 = radius * radius
-    for atom in s.atoms:
-        pos = np.array((atom.x, atom.y, atom.z))
-        lo = [math.ceil((pos[k] - radius - origin[k]) / pitch) for k in range(3)]
-        hi = [math.floor((pos[k] + radius - origin[k]) / pitch) for k in range(3)]
-        if any(l < 0 for l in lo) or any(h > n - 1 for h in hi):
-            raise GridOverflowError(atom.serial, "inflated atom extends outside the grid")
-        if any(h < l for l, h in zip(lo, hi)):
-            continue  # sphere too small to catch any voxel center on this lattice
-        axes = [origin[k] + np.arange(lo[k], hi[k] + 1) * pitch - pos[k] for k in range(3)]
-        d2 = (
-            axes[0][:, None, None] ** 2
-            + axes[1][None, :, None] ** 2
-            + axes[2][None, None, :] ** 2
-        )
-        window = mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
-        window |= d2 <= r2
-    return mask
+    chunk = max(1, _CORE_MASK_CHUNK_CELLS // m**3)
+    for a in range(0, len(xyz), chunk):
+        c_lo, c_hi, c_xyz = lo[a : a + chunk], hi[a : a + chunk], xyz[a : a + chunk]
+        idx = c_lo[:, :, None] + steps  # (atoms, 3 axes, m offsets)
+        d2 = (origin[None, :, None] + idx * pitch - c_xyz[:, :, None]) ** 2
+        d2[idx > c_hi[:, :, None]] = np.inf  # past this atom's extent
+        within = (
+            d2[:, 0, :, None, None] + d2[:, 1, None, :, None] + d2[:, 2, None, None, :]
+        ) <= r2
+        atom, cell = np.nonzero(within.reshape(len(c_xyz), -1))
+        base = (c_lo[:, 0] * n + c_lo[:, 1]) * n + c_lo[:, 2]
+        mask[base[atom] + stencil[cell]] = True
+    return mask.reshape(n, n, n)
 
 
 def assign_grid(
@@ -224,7 +247,7 @@ def assign_grid(
         raise ParameterError(f"role must be {RECEPTOR!r} or {LIGAND!r}, got {role!r}")
     if params is None:
         params = ScoringParams()
-    if not s.atoms:
+    if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
 
     core = _core_mask(s, spec, params.atom_radius)

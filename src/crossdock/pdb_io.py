@@ -55,45 +55,77 @@ class AtomRecord:
     element: str = ""
 
 
-@dataclass(frozen=True)
 class Structure:
-    """An ordered list of atoms read from one file (or built in memory)."""
+    """An ordered list of atoms read from one file (or built in memory).
 
-    id: str
-    atoms: tuple[AtomRecord, ...]
-    source_path: str = ""
+    The coordinates live in one read-only (n_atoms, 3) float64 array. The
+    other per-atom fields stay in the AtomRecords the structure was built
+    from, which every copy made by ``with_coords`` shares; such a copy
+    builds its own AtomRecords only when ``atoms`` is first read.
+    Construction, ``atoms``, ``len``, equality and hashing behave as for a
+    frozen dataclass of (id, atoms, source_path).
+    """
+
+    __slots__ = ("_id", "_source_path", "_records", "_coords", "_atoms")
+
+    def __init__(self, id: str, atoms: tuple[AtomRecord, ...], source_path: str = ""):
+        atoms = tuple(atoms)
+        coords = np.array([(a.x, a.y, a.z) for a in atoms], dtype=np.float64).reshape(-1, 3)
+        self._init(id, source_path, atoms, coords, atoms)
+
+    def _init(self, id, source_path, records, coords, atoms) -> None:
+        coords.flags.writeable = False
+        self._id = id
+        self._source_path = source_path
+        self._records = records
+        self._coords = coords
+        self._atoms = atoms
+
+    @property
+    def id(self) -> str:
+        return self._id
+
+    @property
+    def source_path(self) -> str:
+        return self._source_path
+
+    @property
+    def atoms(self) -> tuple[AtomRecord, ...]:
+        if self._atoms is None:
+            self._atoms = tuple(
+                AtomRecord(a.serial, a.atom_name, a.residue_name, a.chain_id,
+                           a.residue_seq, x, y, z, a.element)
+                for a, (x, y, z) in zip(self._records, self._coords.tolist())
+            )
+        return self._atoms
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._records)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.atoms, self.source_path) == (other.id, other.atoms, other.source_path)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.atoms, self.source_path))
+
+    def __repr__(self) -> str:
+        return f"Structure(id={self.id!r}, {len(self)} atoms, source_path={self.source_path!r})"
 
     def coords(self) -> np.ndarray:
-        """Atom coordinates as an (n_atoms, 3) float64 array, file order."""
-        out = np.empty((len(self.atoms), 3), dtype=np.float64)
-        for i, a in enumerate(self.atoms):
-            out[i, 0] = a.x
-            out[i, 1] = a.y
-            out[i, 2] = a.z
-        return out
+        """A writable copy of the atom coordinates, (n_atoms, 3) float64,
+        file order."""
+        return self._coords.copy()
 
     def with_coords(self, coords: np.ndarray) -> "Structure":
         """Copy of this structure with atom coordinates replaced, order kept."""
-        if coords.shape != (len(self.atoms), 3):
-            raise ValueError(f"expected coords of shape ({len(self.atoms)}, 3)")
-        atoms = tuple(
-            AtomRecord(
-                serial=a.serial,
-                atom_name=a.atom_name,
-                residue_name=a.residue_name,
-                chain_id=a.chain_id,
-                residue_seq=a.residue_seq,
-                x=float(c[0]),
-                y=float(c[1]),
-                z=float(c[2]),
-                element=a.element,
-            )
-            for a, c in zip(self.atoms, coords)
-        )
-        return Structure(id=self.id, atoms=atoms, source_path=self.source_path)
+        coords = np.array(coords, dtype=np.float64)
+        if coords.shape != (len(self), 3):
+            raise ValueError(f"expected coords of shape ({len(self)}, 3)")
+        copy = Structure.__new__(Structure)
+        copy._init(self.id, self.source_path, self._records, coords, None)
+        return copy
 
 
 def _parse_int(line: str, col: slice, line_no: int, what: str) -> int:
@@ -166,7 +198,7 @@ def load_structure(path: str | Path) -> Structure:
 
 def bounding_box(s: Structure) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise (min_corner, max_corner) over all atom coordinates."""
-    if not s.atoms:
+    if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
     coords = s.coords()
     return coords.min(axis=0), coords.max(axis=0)

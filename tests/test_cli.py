@@ -1,8 +1,14 @@
 """CLI batch command: a bad input fails only its own tasks, exit code 3, and
-the failure reason reaches report.json and standard error."""
+the failure reason reaches report.json and standard error, one line per
+failed attempt."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import crossdock
 from crossdock import cli
 
 from conftest import key_points, lock_points, make_structure, write_pdb
@@ -27,3 +33,36 @@ def test_cross_with_atomless_ligand_exits_3_and_names_the_error(tmp_path, capsys
     assert failed["task_id"] == "lock__empty" and failed["attempts"] == 3
     assert failed["error"].startswith("NoAtomsError")
     assert "failed after 3 attempts: lock__empty: NoAtomsError" in capsys.readouterr().err
+
+
+def run_cross_in_subprocess(tmp_path, *flags: str) -> subprocess.CompletedProcess:
+    """``crossdock [flags] cross`` on the lock and an atom-less ligand, in a
+    fresh interpreter, so that the CLI's own logging setup writes stderr."""
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "empty.pdb").write_text("REMARK no atom records\nEND\n", encoding="utf-8")
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text("empty.pdb\n", encoding="utf-8")
+    src = str(Path(crossdock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "crossdock.cli", *flags, "cross",
+         str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+         "--step", "90", "--top-k", "3", "--threads", "1", "--workers", "1",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_failed_attempts_log_one_line_each_and_a_traceback_only_with_v(tmp_path):
+    quiet = run_cross_in_subprocess(tmp_path)
+    assert quiet.returncode == cli.EXIT_FAILED_TASKS, quiet.stderr
+    assert "Traceback" not in quiet.stderr
+    attempts = [line for line in quiet.stderr.splitlines()
+                if "task lock__empty failed: NoAtomsError" in line]
+    assert len(attempts) == 3 and all(" WARNING " in line for line in attempts)
+    assert "failed after 3 attempts: lock__empty: NoAtomsError" in quiet.stderr
+
+    verbose = run_cross_in_subprocess(tmp_path, "-v")
+    assert verbose.returncode == cli.EXIT_FAILED_TASKS, verbose.stderr
+    assert verbose.stderr.count("Traceback") == 3

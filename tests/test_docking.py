@@ -1,0 +1,215 @@
+"""Docking: a golden top-K, thread-count independence, floor pruning of the
+per-rotation candidates, the FFT correlation against its direct oracle, the
+array-backed Structure API, and the call seams the benchmark's tracer
+patches."""
+
+import hashlib
+import threading
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from crossdock import docking
+from crossdock.docking import (
+    DockConfig,
+    _best_candidates,
+    _TopK,
+    direct_correlate,
+    dock_pair,
+    fft_correlate,
+    generate_rotations,
+    rotate_structure,
+)
+from crossdock.grid import LIGAND, RECEPTOR, DockGrid, GridSpec, ScoringParams, assign_grid
+from crossdock.pdb_io import AtomRecord, Structure
+
+from conftest import random_structure
+
+# sha256 of the exact top-K lines "rotation tx ty tz score.hex()" of the
+# blob pair below at a 60 degree step, recorded with the per-atom loop
+# rasterizer and the unpruned candidate reduction that preceded the array
+# path. Its 2,000 poses hold only 25 distinct scores, so the digest also
+# pins how ties are broken.
+GOLDEN_TOP_K = "7d45dee3c569e5612281fb888bba4d9db1b4ba513cf56a039d13ff3bb3882c89"
+
+
+def blob(rng: np.random.Generator, sid: str, atoms: int, edge: float) -> Structure:
+    """``atoms`` points uniform in a ball whose bounding box's longest edge
+    is ``edge`` A."""
+    v = rng.normal(size=(atoms, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    points = v * rng.random(atoms)[:, None] ** (1.0 / 3.0)
+    points *= edge / (points.max(axis=0) - points.min(axis=0)).max()
+    return Structure(sid, tuple(
+        AtomRecord(i + 1, "CA", "ALA", "A", i // 10 + 1, float(x), float(y), float(z), "C")
+        for i, (x, y, z) in enumerate(points)
+    ))
+
+
+@pytest.fixture(scope="module")
+def blob_pair() -> tuple[Structure, Structure]:
+    rng = np.random.default_rng(2024)
+    return blob(rng, "rec", 300, 20.0), blob(rng, "lig", 80, 12.0)
+
+
+def exact(poses) -> list[tuple]:
+    return [(p.rotation_index, p.tx, p.ty, p.tz, p.score.hex()) for p in poses]
+
+
+def digest(poses) -> str:
+    lines = [" ".join(str(v) for v in pose) for pose in exact(poses)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_top_k_and_thread_counts(blob_pair):
+    rec, lig = blob_pair
+    single = dock_pair(rec, lig, DockConfig(angular_step=60.0, threads=1))
+    double = dock_pair(rec, lig, DockConfig(angular_step=60.0, threads=2))
+    assert single.grid_spec.n == 36 and len(single.top_poses) == 2000
+    assert digest(single.top_poses) == GOLDEN_TOP_K
+    assert exact(double.top_poses) == exact(single.top_poses)
+
+
+def merged_top_k(volumes, k: int, floor_lag: int | None, order=None) -> tuple[list, int]:
+    """Merge per-rotation candidates as dock_pair does, rotation indices in
+    ``order`` (ascending by default). With ``floor_lag`` set, each rotation
+    is reduced under the floor published ``floor_lag`` merges before the
+    latest one (a pool thread may read an old floor); with None, under no
+    floor. Returns the poses and the number of candidates offered."""
+    top = _TopK(k)
+    floors: list = []
+    offered = 0
+    for ri in order if order is not None else range(len(volumes)):
+        floor = None
+        if floor_lag is not None and len(floors) > floor_lag:
+            floor = floors[-1 - floor_lag]
+        idx, scores = _best_candidates(volumes[ri], k, floor)
+        offered += len(idx)
+        top.merge(ri, idx, scores, volumes[ri].shape[0])
+        floors.append(top.floor)
+    return top.sorted_poses(), offered
+
+
+@pytest.mark.parametrize("k", [1, 5, 40, 64, 300])
+def test_floor_pruning_keeps_the_merged_top_k(k):
+    rng = np.random.default_rng([31, k])
+    n = 4
+    # integer scores in a narrow range: every volume is full of ties, and
+    # the real part of a complex array is a strided view, as in dock_pair
+    volumes = [(rng.integers(-3, 4, size=(n, n, n)) + 0j).real for _ in range(12)]
+    plain, plain_offered = merged_top_k(volumes, k, None)
+    oracle = sorted(
+        (-float(v[tx, ty, tz]), ri, tx, ty, tz)
+        for ri, v in enumerate(volumes)
+        for tx in range(n) for ty in range(n) for tz in range(n)
+    )[:k]
+    assert [p.sort_key() for p in plain] == oracle
+    # the kept set never depends on merge order, so neither may the floor
+    for order in (None, range(len(volumes) - 1, -1, -1)):
+        for lag in (0, 3):
+            pruned, pruned_offered = merged_top_k(volumes, k, lag, order)
+            assert pruned == plain, f"floor lag {lag}, order {order}"
+            assert pruned_offered <= plain_offered
+            if k == 40:
+                assert pruned_offered < plain_offered  # the floor dropped candidates
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 9, 12])
+def test_fft_correlate_matches_direct_oracle(n):
+    rng = np.random.default_rng([37, n])
+    spec = GridSpec(n=n, pitch=0.5, origin=(0.0, 0.0, 0.0))
+    params = ScoringParams(atom_radius=0.6)
+    shape = (n, n, n)
+    random_pair = (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    inside = (0.65, (n - 1) * 0.5 - 0.65)
+    rasterized = (assign_grid(random_structure(rng, "r", 6, *inside), spec, RECEPTOR, params).voxels,
+                  assign_grid(random_structure(rng, "l", 3, *inside), spec, LIGAND, params).voxels)
+    for rec, lig in (random_pair, rasterized):
+        r, g = DockGrid(spec, rec, RECEPTOR), DockGrid(spec, lig, LIGAND)
+        want = direct_correlate(r, g)
+        atol = 1e-12 * n**3 * np.abs(rec).max() * max(np.abs(lig).max(), 1.0)
+        np.testing.assert_allclose(fft_correlate(r, g), want, rtol=0, atol=atol)
+
+
+class TestStructureArrays:
+    def structure(self) -> Structure:
+        rng = np.random.default_rng(41)
+        atoms = tuple(
+            AtomRecord(3 * i + 7, f"C{i}", "LYS", "B", 40 + i, *map(float, c), "C")
+            for i, c in enumerate(rng.uniform(-9, 9, (25, 3)))
+        )
+        return Structure("s", atoms, "s.pdb")
+
+    def test_with_coords_atoms_equal_the_eager_records(self):
+        s = self.structure()
+        coords = s.coords() * 1.5 - 2.0
+        eager = tuple(
+            AtomRecord(
+                serial=a.serial, atom_name=a.atom_name, residue_name=a.residue_name,
+                chain_id=a.chain_id, residue_seq=a.residue_seq,
+                x=float(c[0]), y=float(c[1]), z=float(c[2]), element=a.element,
+            )
+            for a, c in zip(s.atoms, coords)
+        )
+        moved = s.with_coords(coords)
+        assert moved.atoms == eager
+        assert all(type(a.x) is float for a in moved.atoms)
+        assert (moved.id, moved.source_path, len(moved)) == ("s", "s.pdb", 25)
+
+    def test_equality_and_hashing(self):
+        s = self.structure()
+        same = s.with_coords(s.coords())
+        rebuilt = Structure(s.id, s.atoms, s.source_path)
+        assert same == s and rebuilt == s and hash(same) == hash(s) == hash(rebuilt)
+        assert hash((s.id, s.atoms, s.source_path)) == hash(s)
+        shifted = s.with_coords(s.coords() + 0.25)
+        assert shifted != s
+        assert Structure("other", s.atoms, s.source_path) != s
+        assert s != s.atoms
+        assert len({s, same, rebuilt, shifted}) == 2
+
+    def test_coordinate_arrays_are_not_shared_with_callers(self):
+        s = self.structure()
+        before = s.coords()
+        out = s.coords()
+        out[:] = 0.0
+        np.testing.assert_array_equal(s.coords(), before)
+        given = before + 1.0
+        moved = s.with_coords(given)
+        given[:] = -1.0
+        np.testing.assert_array_equal(moved.coords(), before + 1.0)
+        assert moved.atoms[0].x == before[0, 0] + 1.0
+
+    def test_identity_rotation_keeps_coordinates_bit_for_bit(self):
+        s = self.structure()
+        [identity] = [r for r in generate_rotations(90.0) if r.is_identity]
+        same = rotate_structure(s, identity, (1.0, 2.0, 3.0))
+        assert np.array_equal(same.coords(), s.coords()) and same == s
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_pair):
+    """The benchmark's tracer patches these module attributes and divides
+    by the ligand assign_grid count; dock_pair must keep calling them."""
+    rec, lig = blob_pair
+    rotations = len(generate_rotations(90.0))
+    counts: Counter = Counter()
+    lock = threading.Lock()
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[key(*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(docking, "assign_grid",
+                        counting(docking.assign_grid, lambda s, spec, role, *_: role))
+    monkeypatch.setattr(docking, "rotate_structure",
+                        counting(docking.rotate_structure, lambda *a: "rotate"))
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, lambda *a, **k: "fftn"))
+    dock_pair(rec, lig, DockConfig(angular_step=90.0, top_k=10, threads=threads))
+    assert counts == Counter({LIGAND: rotations, RECEPTOR: 1, "rotate": rotations,
+                              "fftn": rotations + 1})

@@ -143,6 +143,134 @@ def chebyshev_dilation_oracle(cells: set, thickness: int, n: int) -> set:
     return out
 
 
+def core_mask_loop_oracle(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
+    """The per-atom rasterization loop: each atom's voxel extent [lo, hi]
+    per axis, then the distance of every voxel center in that window.
+    Raises GridOverflowError for the first atom in file order whose extent
+    leaves the lattice."""
+    n, pitch = spec.n, spec.pitch
+    origin = np.asarray(spec.origin)
+    mask = np.zeros((n, n, n), dtype=bool)
+    r2 = radius * radius
+    for atom in s.atoms:
+        pos = np.array((atom.x, atom.y, atom.z))
+        lo = [math.ceil((pos[k] - radius - origin[k]) / pitch) for k in range(3)]
+        hi = [math.floor((pos[k] + radius - origin[k]) / pitch) for k in range(3)]
+        if any(l < 0 for l in lo) or any(h > n - 1 for h in hi):
+            raise GridOverflowError(atom.serial, "inflated atom extends outside the grid")
+        if any(h < l for l, h in zip(lo, hi)):
+            continue  # sphere too small to catch any voxel center on this lattice
+        axes = [origin[k] + np.arange(lo[k], hi[k] + 1) * pitch - pos[k] for k in range(3)]
+        d2 = (
+            axes[0][:, None, None] ** 2
+            + axes[1][None, :, None] ** 2
+            + axes[2][None, None, :] ** 2
+        )
+        window = mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
+        window |= d2 <= r2
+    return mask
+
+
+def random_atoms(rng: np.random.Generator, coords) -> tuple[AtomRecord, ...]:
+    """Atoms at ``coords`` with scattered, non-consecutive serials."""
+    serials = rng.choice(100_000, size=len(coords), replace=False) + 1
+    return tuple(
+        AtomRecord(int(serial), "CA", "ALA", "A", i + 1, float(c[0]), float(c[1]), float(c[2]), "C")
+        for i, (serial, c) in enumerate(zip(serials, coords))
+    )
+
+
+class TestRasterizationOracle:
+    """assign_grid against core_mask_loop_oracle, bit for bit."""
+
+    @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
+    def test_masks_match_the_loop_oracle(self, pitch):
+        rng = np.random.default_rng([23, int(pitch * 10)])
+        n = 20
+        for trial in range(6):
+            # radius 0.2 at pitch >= 1.0 leaves most atoms without a voxel center
+            radius = float(rng.choice([0.2, 0.45, 1.0, 1.5, 2.3]))
+            params = ScoringParams(atom_radius=radius)
+            origin = tuple(float(v) for v in rng.uniform(-5.0, 5.0, 3))
+            spec = GridSpec(n=n, pitch=pitch, origin=origin)
+            low = np.asarray(origin) + radius
+            high = np.asarray(origin) + (n - 1) * pitch - radius
+            coords = rng.uniform(low, high, size=(int(rng.integers(1, 60)), 3))
+            s = Structure(id="r", atoms=random_atoms(rng, coords))
+            moved = s.with_coords(coords[::-1].copy())
+            for structure in (s, moved):
+                want = core_mask_loop_oracle(structure, spec, radius)
+                ligand = assign_grid(structure, spec, LIGAND, params)
+                receptor = assign_grid(structure, spec, RECEPTOR, params)
+                msg = f"pitch={pitch} trial={trial} radius={radius}"
+                np.testing.assert_array_equal(ligand.voxels.real == params.ligand_weight, want,
+                                              err_msg=msg)
+                np.testing.assert_array_equal(
+                    receptor.voxels.real == params.receptor_core_weight, want, err_msg=msg)
+
+    @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
+    def test_tangent_atoms_match_the_loop_oracle(self, pitch):
+        # Atoms offset from a voxel center by a vector of length radius
+        # (radius along an axis, or a 3-4-5 split of it), so some distances
+        # round to either side of radius: only the loop's float operations,
+        # in its order and within each atom's [lo, hi], give its mask.
+        rng = np.random.default_rng([43, int(pitch * 10)])
+        n = 30
+        origin = (-3.3, 0.7, 1.1)
+        spec = GridSpec(n=n, pitch=pitch, origin=origin)
+        for radius in (0.6, 1.2, 1.5, 2.0):
+            offsets = np.array([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.6, 0.8, 0.0),
+                                (-0.6, 0.8, 0.0), (0.0, -0.6, -0.8)]) * radius
+            centers = np.asarray(origin) + rng.integers(8, 20, size=(60, 3)) * pitch
+            picked = offsets[np.arange(60) % len(offsets)]
+            coords = centers + np.array([o[rng.permutation(3)] for o in picked])
+            s = Structure(id="tangent", atoms=random_atoms(rng, coords))
+            want = core_mask_loop_oracle(s, spec, radius)
+            got = assign_grid(s, spec, LIGAND, ScoringParams(atom_radius=radius))
+            np.testing.assert_array_equal(got.voxels.real == 1.0, want, err_msg=f"radius={radius}")
+
+    def test_chunked_rasterization_matches_the_loop_oracle(self, monkeypatch):
+        # a chunk bound of 100 stencil cells splits 40 atoms into chunks of 3
+        monkeypatch.setattr("crossdock.grid._CORE_MASK_CHUNK_CELLS", 100)
+        rng = np.random.default_rng(47)
+        spec = GridSpec(n=16, pitch=1.2, origin=(-9.0, -9.0, -9.0))
+        s = Structure(id="c", atoms=random_atoms(rng, rng.uniform(-6.5, 6.5, (40, 3))))
+        want = core_mask_loop_oracle(s, spec, ScoringParams().atom_radius)
+        np.testing.assert_array_equal(assign_grid(s, spec, LIGAND).voxels.real == 1.0, want)
+
+    def test_some_atoms_catch_no_voxel_center(self):
+        spec = GridSpec(n=10, pitch=2.0, origin=(0.0, 0.0, 0.0))
+        atoms = (AtomRecord(1, "CA", "ALA", "A", 1, 5.0, 5.0, 5.0, "C"),   # 1 A from any center
+                 AtomRecord(2, "CA", "ALA", "A", 2, 8.1, 8.0, 8.0, "C"))   # 0.1 A from (4, 4, 4)
+        s = Structure(id="sparse", atoms=atoms)
+        params = ScoringParams(atom_radius=0.2)
+        want = core_mask_loop_oracle(s, spec, params.atom_radius)
+        assert {tuple(i) for i in np.argwhere(want)} == {(4, 4, 4)}
+        got = assign_grid(s, spec, LIGAND, params).voxels.real == 1.0
+        np.testing.assert_array_equal(got, want)
+        alone = Structure(id="none", atoms=atoms[:1])
+        assert not np.any(assign_grid(alone, spec, LIGAND, params).voxels)
+
+    def test_overflow_names_the_first_offending_atom_in_file_order(self):
+        spec = GridSpec(n=8, pitch=1.2, origin=(0.0, 0.0, 0.0))
+        inside = (4.0, 4.0, 4.0)
+        coords = np.array([inside, (50.0, 4.0, 4.0), inside, (4.0, -9.0, 4.0)])
+        rng = np.random.default_rng(29)
+        s = Structure(id="two", atoms=random_atoms(rng, coords))
+        serials = [a.serial for a in s.atoms]
+        with pytest.raises(GridOverflowError) as err:
+            assign_grid(s, spec, LIGAND)
+        assert err.value.serial == serials[1]
+        with pytest.raises(GridOverflowError) as oracle_err:
+            core_mask_loop_oracle(s, spec, ScoringParams().atom_radius)
+        assert oracle_err.value.serial == serials[1]
+        # moved by with_coords so that atoms 0 and 3 leave the lattice
+        moved = s.with_coords(np.array([(4.0, -9.0, 4.0), inside, inside, (50.0, 4.0, 4.0)]))
+        with pytest.raises(GridOverflowError) as err:
+            assign_grid(moved, spec, RECEPTOR)
+        assert err.value.serial == serials[0]
+
+
 class TestAssignGrid:
     def test_single_atom_ligand_matches_sphere_oracle(self):
         spec = GridSpec(n=9, pitch=1.2, origin=(-4.8, -4.8, -4.8))
