@@ -5,12 +5,10 @@ from .docking import (
     DockingResult,
     Pose,
     Rotation,
-    TimeBreakdown,
     direct_correlate,
     dock_pair,
     fft_correlate,
     generate_rotations,
-    profile_dock,
     rotate_structure,
 )
 from .errors import (

@@ -1,7 +1,8 @@
 """Command-line entry point: dock, cross, master, worker, analyze, rotations.
 
-Exit codes: 0 success; 1 input/parse error (missing or malformed PDB);
-2 grid/configuration error; 3 batch finished with permanently failed tasks.
+Exit codes: 0 success; 1 input/parse error (a missing or unreadable input
+file, or a malformed PDB); 2 grid/configuration error (a malformed analyzer
+table included); 3 batch finished with permanently failed tasks.
 Error messages go to standard error. Output files are written atomically
 (temp file + rename) so an interrupted run never leaves a truncated matrix.
 """
@@ -9,6 +10,7 @@ Error messages go to standard error. Output files are written atomically
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -24,19 +26,8 @@ from .dispatch import (
     master_run,
     worker_loop,
 )
-from .docking import DockConfig, dock_pair, generate_rotations
-from .errors import (
-    ComparisonError,
-    CrossdockError,
-    DispatchError,
-    GridMismatchError,
-    GridOverflowError,
-    NoAtomsError,
-    ParameterError,
-    PdbParseError,
-    WireError,
-)
-from .grid import ScoringParams
+from .docking import TSV_HEADER, DockConfig, dock_pair, generate_rotations
+from .errors import CrossdockError, NoAtomsError, ParameterError, PdbParseError
 from .pdb_io import load_structure
 
 EXIT_OK = 0
@@ -85,20 +76,12 @@ def _build_config(args: argparse.Namespace) -> DockConfig:
             cfg = DockConfig.from_dict(json.load(fh))
     else:
         cfg = DockConfig()
-    overrides = {}
-    for attr in ("pitch", "margin_voxels", "angular_step", "top_k", "threads"):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
-        cfg = DockConfig(
-            pitch=overrides.get("pitch", cfg.pitch),
-            margin_voxels=overrides.get("margin_voxels", cfg.margin_voxels),
-            angular_step=overrides.get("angular_step", cfg.angular_step),
-            top_k=overrides.get("top_k", cfg.top_k),
-            params=cfg.params,
-            threads=overrides.get("threads", cfg.threads),
-        )
+    overrides = {
+        attr: getattr(args, attr)
+        for attr in ("pitch", "margin_voxels", "angular_step", "top_k", "threads")
+        if getattr(args, attr) is not None
+    }
+    cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
@@ -156,8 +139,6 @@ def cmd_dock(args: argparse.Namespace) -> int:
     result = dock_pair(receptor, ligand, cfg)
     prefix = args.out or f"dock_{result.task_id}"
     _atomic_write(Path(f"{prefix}.json"), result.to_json() + "\n")
-    from .docking import TSV_HEADER
-
     _atomic_write(Path(f"{prefix}.tsv"), TSV_HEADER + "\n" + result.to_tsv_line() + "\n")
     print(f"best_score {result.best_score!r}")
     return EXIT_OK
@@ -299,21 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (PdbParseError, NoAtomsError, FileNotFoundError) as exc:
+    except (PdbParseError, NoAtomsError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        ParameterError,
-        GridOverflowError,
-        GridMismatchError,
-        ComparisonError,
-        DispatchError,
-        WireError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CrossdockError as exc:
+    except (CrossdockError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -195,48 +195,51 @@ def bundled_runs_path() -> Path:
     return Path(str(resources.files("crossdock").joinpath("data/paper_runs.tsv")))
 
 
-def _data_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _data_rows(path: str | Path, expected: list[str], kind: str) -> list[tuple[str, list[str]]]:
+    """Rows of a tab-separated table whose header must be ``expected``,
+    each paired with its location "<path> line <n>" for error messages."""
     header: list[str] | None = None
-    rows: list[list[str]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.rstrip("\n")
+    rows: list[tuple[str, list[str]]] = []
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in line.split("\t")]
         if header is None:
             header = cells
+            if header != expected:
+                raise ParameterError(f"{path}: expected {kind} columns {expected}, got {header}")
+        elif len(cells) != len(expected):
+            raise ParameterError(f"{path} line {number}: malformed {kind} row {cells}")
         else:
-            rows.append(cells)
+            rows.append((f"{path} line {number}", cells))
     if header is None:
         raise ParameterError(f"{path}: empty table")
-    return header, rows
+    return rows
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, InstanceSpec]:
     """Instance catalog TSV -> name-keyed specs. None loads the bundled
     March-2017 Azure catalog."""
     path = path or bundled_catalog_path()
-    header, rows = _data_rows(path)
     expected = [
         "name", "cpu_model", "cores", "dp_peak_gflops", "gpus", "ram_gb",
         "rdma", "price_usd_per_hour",
     ]
-    if header != expected:
-        raise ParameterError(f"{path}: expected catalog columns {expected}, got {header}")
     catalog: dict[str, InstanceSpec] = {}
-    for cells in rows:
-        if len(cells) != len(expected):
-            raise ParameterError(f"{path}: malformed catalog row {cells}")
-        spec = InstanceSpec(
-            name=cells[0],
-            cpu_model=cells[1],
-            cores=int(cells[2]),
-            dp_peak_gflops=float(cells[3]),
-            gpus=int(cells[4]),
-            ram_gb=float(cells[5]),
-            rdma=cells[6].lower() in ("yes", "true", "1"),
-            price_usd_per_hour=float(cells[7]),
-        )
+    for where, cells in _data_rows(path, expected, "catalog"):
+        try:
+            spec = InstanceSpec(
+                name=cells[0],
+                cpu_model=cells[1],
+                cores=int(cells[2]),
+                dp_peak_gflops=float(cells[3]),
+                gpus=int(cells[4]),
+                ram_gb=float(cells[5]),
+                rdma=cells[6].lower() in ("yes", "true", "1"),
+                price_usd_per_hour=float(cells[7]),
+            )
+        except ValueError as exc:
+            raise ParameterError(f"{where}: bad catalog row {cells}: {exc}") from None
         if spec.name in catalog:
             raise ParameterError(f"{path}: duplicate instance {spec.name}")
         catalog[spec.name] = spec
@@ -247,22 +250,19 @@ def load_runs(path: str | Path | None = None) -> list[RunRecord]:
     """Run-record TSV (the dispatcher's report format) -> records. None
     loads the bundled published runs."""
     path = path or bundled_runs_path()
-    header, rows = _data_rows(path)
     expected = ["instance", "n_instances", "wall_time_s", "n_pairs"]
-    if header != expected:
-        raise ParameterError(f"{path}: expected run columns {expected}, got {header}")
     records = []
-    for cells in rows:
-        if len(cells) != len(expected):
-            raise ParameterError(f"{path}: malformed run row {cells}")
-        records.append(
-            RunRecord(
+    for where, cells in _data_rows(path, expected, "run"):
+        try:
+            record = RunRecord(
                 instance_name=cells[0],
                 n_instances=int(cells[1]),
                 wall_time_s=float(cells[2]),
                 n_pairs=int(cells[3]),
             )
-        )
+        except ValueError as exc:
+            raise ParameterError(f"{where}: bad run row {cells}: {exc}") from None
+        records.append(record)
     return records
 
 

@@ -380,17 +380,12 @@ def master_run(
         raise DispatchError(f"cannot bind {listen[0]}:{listen[1]}: {exc}") from exc
 
     conns: list[_TcpConn] = []
-    accepting = threading.Event()
-    accepting.set()
-    server.settimeout(0.25)  # lets the acceptor notice shutdown promptly
 
     def acceptor() -> None:
-        while accepting.is_set():
+        while True:
             try:
                 sock, addr = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # the server socket was shut down
                 break
             conn = _TcpConn(sock, f"{addr[0]}:{addr[1]}")
             conns.append(conn)
@@ -401,7 +396,8 @@ def master_run(
     try:
         report = core.run()
     finally:
-        accepting.clear()
+        # shutdown wakes the blocked accept at once; close alone may not
+        server.shutdown(socket.SHUT_RDWR)
         server.close()
         accept_thread.join(timeout=5)
         for conn in conns:

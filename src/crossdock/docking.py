@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,7 @@ __all__ = [
     "DockConfig",
     "Pose",
     "DockingResult",
-    "TimeBreakdown",
     "dock_pair",
-    "profile_dock",
     "place_ligand",
 ]
 
@@ -97,17 +95,6 @@ class Rotation:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ]
         )
-
-    def inverse(self) -> "Rotation":
-        return canonical_rotation(self.w, -self.x, -self.y, -self.z)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """Rotation equal to applying ``other`` first, then ``self``."""
-        return canonical_rotation(*_qmul(self.components(), other.components()))
-
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
     def from_euler_zyz(alpha_deg: float, beta_deg: float, gamma_deg: float) -> "Rotation":
@@ -226,6 +213,24 @@ def rotate_structure(s: Structure, r: Rotation, center) -> Structure:
     return s.with_coords(coords)
 
 
+def _receptor_spectrum(receptor_voxels: np.ndarray) -> np.ndarray:
+    """conj(FFT(R)): the receptor half of the correlation, computed once."""
+    return np.conj(np.fft.fftn(receptor_voxels))
+
+
+def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarray:
+    """Correlation volume of one ligand grid against _receptor_spectrum.
+
+    Each pool thread holds these n^3 buffers at once, so the ligand grid is
+    dropped before the inverse transform; pass it as a temporary for that
+    to free it. The product stays out of place and in this operand order:
+    in place or swapped, it can round differently.
+    """
+    spectrum = rec_hat_conj * np.fft.fftn(ligand_voxels)
+    del ligand_voxels
+    return np.real(np.fft.ifftn(spectrum))
+
+
 def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
     """Correlation volume C(t) = sum_v Re[conj(R(v)) * L(v + t)] over all
     cyclic voxel translations t, via the transform pair. The inverse
@@ -234,8 +239,7 @@ def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
         raise GridMismatchError(
             f"grids disagree: {receptor.spec} vs {ligand.spec}"
         )
-    spectrum = np.conj(np.fft.fftn(receptor.voxels)) * np.fft.fftn(ligand.voxels)
-    return np.real(np.fft.ifftn(spectrum))
+    return _correlate(_receptor_spectrum(receptor.voxels), ligand.voxels)
 
 
 def direct_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
@@ -294,14 +298,10 @@ class DockConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DockConfig":
-        cfg = cls(
-            pitch=float(d.get("pitch", 1.2)),
-            margin_voxels=int(d.get("margin_voxels", 4)),
-            angular_step=float(d.get("angular_step", 15.0)),
-            top_k=int(d.get("top_k", 2000)),
-            params=ScoringParams.from_dict(d["params"]) if "params" in d else ScoringParams(),
-            threads=int(d.get("threads", 0)),
-        )
+        """Fields missing from ``d`` keep their defaults."""
+        convert = {"pitch": float, "margin_voxels": int, "angular_step": float,
+                   "top_k": int, "params": ScoringParams.from_dict, "threads": int}
+        cfg = cls(**{key: convert[key](value) for key, value in d.items() if key in convert})
         cfg.validate()
         return cfg
 
@@ -399,44 +399,20 @@ class DockingResult:
 TSV_HEADER = "task_id\treceptor_id\tligand_id\tn\tbest_score\twall_time_s"
 
 
-@dataclass
-class TimeBreakdown:
-    """Wall-time accounting for one docking run, in seconds."""
-
-    transform: float = 0.0
-    voxelize: float = 0.0
-    rotate: float = 0.0
-    reduce: float = 0.0
-    other: float = 0.0
-    total: float = 0.0
-
-    def buckets(self) -> dict[str, float]:
-        return {
-            "transform": self.transform,
-            "voxelize": self.voxelize,
-            "rotate": self.rotate,
-            "reduce": self.reduce,
-            "other": self.other,
-        }
-
-    def fraction(self, bucket: str) -> float:
-        return self.buckets()[bucket] / self.total if self.total > 0 else 0.0
-
-
 class _TopK:
     """Bounded best-K set under the Pose total order.
 
     heapq keeps the *worst* kept entry at the root by storing the inverted
     key (score, -rotation, -tx, -ty, -tz); the kept set depends only on the
     multiset of candidates, never on insertion order. Once K entries are
-    kept, ``floor`` is the root's score: it never decreases, and no entry
-    scoring below it can enter the set any more.
+    kept, ``floor`` is the root's score (-inf before): it never decreases,
+    and no entry scoring below it can enter the set any more.
     """
 
     def __init__(self, k: int):
         self.k = k
         self._heap: list[tuple] = []
-        self.floor: float | None = None
+        self.floor = -math.inf
 
     def offer(self, inv_key: tuple) -> bool:
         """inv_key = (score, -ri, -tx, -ty, -tz). Returns False once the
@@ -469,7 +445,7 @@ class _TopK:
 
 
 def _best_candidates(
-    volume: np.ndarray, k: int, floor: float | None = None
+    volume: np.ndarray, k: int, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices and scores of the k best entries of one correlation
     volume that score at least ``floor``, ordered by score descending then
@@ -478,109 +454,17 @@ def _best_candidates(
 
     ``floor`` is a published _TopK.floor: an entry below it could never
     enter the top-K, so dropping it first changes no merged result, at any
-    thread count. Without a floor every entry is a candidate.
+    thread count. With a floor of -inf every entry is a candidate.
     """
     flat = volume.ravel()
     k = min(k, flat.size)
-    if floor is not None:
-        sel = np.flatnonzero(flat >= floor)
-        neg = -flat[sel]
-        if sel.size > k:
-            keep = neg <= np.partition(neg, k - 1)[k - 1]
-            sel, neg = sel[keep], neg[keep]
-    else:
-        neg = -flat
-        if k == neg.size:
-            sel = np.arange(neg.size)
-        else:
-            kth = np.partition(neg, k - 1)[k - 1]
-            sel = np.flatnonzero(neg <= kth)
-        neg = neg[sel]
+    sel = np.flatnonzero(flat >= floor)
+    neg = -flat[sel]
+    if sel.size > k:
+        keep = neg <= np.partition(neg, k - 1)[k - 1]
+        sel, neg = sel[keep], neg[keep]
     idx = sel[np.lexsort((sel, neg))[:k]]
     return idx, flat[idx]
-
-
-def _dock(
-    receptor: Structure,
-    ligand: Structure,
-    config: DockConfig,
-    timings: dict | None = None,
-) -> DockingResult:
-    config.validate()
-    t_start = time.perf_counter()
-
-    def clock(bucket: str, t0: float) -> float:
-        t1 = time.perf_counter()
-        if timings is not None:
-            timings[bucket] = timings.get(bucket, 0.0) + (t1 - t0)
-        return t1
-
-    t0 = time.perf_counter()
-    spec = choose_grid_size(receptor, ligand, config.pitch, config.margin_voxels)
-    rotations = generate_rotations(config.angular_step)
-    # The ligand docks about the grid center: its bounding-box center is
-    # translated there once, rotations spin it in place, and the cyclic
-    # translation does the rest. The grid-size rule sized n for exactly
-    # this centered layout.
-    centered = ligand.with_coords(_centered_coords(ligand, spec))
-    lig_center = spec.center()
-    t0 = clock("other", t0)
-
-    rec_grid = assign_grid(receptor, spec, RECEPTOR, config.params)
-    t0 = clock("voxelize", t0)
-    rec_hat_conj = np.conj(np.fft.fftn(rec_grid.voxels))
-    t0 = clock("transform", t0)
-
-    top = _TopK(config.top_k)
-
-    def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
-        t0 = time.perf_counter()
-        rotated = rotate_structure(centered, rotations[ri], lig_center)
-        t0 = clock("rotate", t0)
-        lig_grid = assign_grid(rotated, spec, LIGAND, config.params)
-        t0 = clock("voxelize", t0)
-        # Every pool thread holds these n^3 buffers at once, so each is
-        # dropped once spent. The product stays out of place and in this
-        # operand order: in place or swapped, it can round differently.
-        spectrum = rec_hat_conj * np.fft.fftn(lig_grid.voxels)
-        del lig_grid
-        volume = np.real(np.fft.ifftn(spectrum))
-        del spectrum
-        t0 = clock("transform", t0)
-        idx, scores = _best_candidates(volume, config.top_k, top.floor)
-        clock("reduce", t0)
-        return idx, scores
-
-    def merge(ri: int, idx: np.ndarray, scores: np.ndarray) -> None:
-        t0 = time.perf_counter()
-        top.merge(ri, idx, scores, spec.n)
-        clock("reduce", t0)
-
-    workers = config.resolved_threads()
-    if workers <= 1 or len(rotations) == 1:
-        for ri in range(len(rotations)):
-            idx, scores = scan_rotation(ri)
-            merge(ri, idx, scores)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for ri, (idx, scores) in enumerate(pool.map(scan_rotation, range(len(rotations)))):
-                merge(ri, idx, scores)
-
-    poses = tuple(top.sorted_poses())
-    wall = time.perf_counter() - t_start
-    if timings is not None:
-        timings["total"] = wall
-    return DockingResult(
-        task_id=f"{receptor.id}__{ligand.id}",
-        receptor_id=receptor.id,
-        ligand_id=ligand.id,
-        grid_spec=spec,
-        params=config.params,
-        angular_step=config.angular_step,
-        top_poses=poses,
-        best_score=poses[0].score,
-        wall_time=wall,
-    )
 
 
 def _centered_coords(ligand: Structure, spec: GridSpec) -> np.ndarray:
@@ -625,26 +509,47 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     ligand against a much smaller receptor can overflow the grid, which
     raises GridOverflowError naming the atom.
     """
-    return _dock(receptor, ligand, config or DockConfig())
+    config = config or DockConfig()
+    config.validate()
+    t_start = time.perf_counter()
+    spec = choose_grid_size(receptor, ligand, config.pitch, config.margin_voxels)
+    rotations = generate_rotations(config.angular_step)
+    # The ligand docks about the grid center: its bounding-box center is
+    # translated there once, rotations spin it in place, and the cyclic
+    # translation does the rest. The grid-size rule sized n for exactly
+    # this centered layout.
+    centered = ligand.with_coords(_centered_coords(ligand, spec))
+    lig_center = spec.center()
+    rec_grid = assign_grid(receptor, spec, RECEPTOR, config.params)
+    rec_hat_conj = _receptor_spectrum(rec_grid.voxels)
+    top = _TopK(config.top_k)
 
+    def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
+        rotated = rotate_structure(centered, rotations[ri], lig_center)
+        # The ligand grid is passed as a temporary so that _correlate frees it.
+        volume = _correlate(
+            rec_hat_conj, assign_grid(rotated, spec, LIGAND, config.params).voxels
+        )
+        return _best_candidates(volume, config.top_k, top.floor)
 
-def profile_dock(
-    receptor: Structure,
-    ligand: Structure,
-    config: DockConfig | None = None,
-) -> TimeBreakdown:
-    """Run dock_pair accumulating wall time into buckets
-    {transform, voxelize, rotate, reduce, other}.
+    workers = config.resolved_threads()
+    if workers <= 1:
+        for ri in range(len(rotations)):
+            top.merge(ri, *scan_rotation(ri), spec.n)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for ri, (idx, scores) in enumerate(pool.map(scan_rotation, range(len(rotations)))):
+                top.merge(ri, idx, scores, spec.n)
 
-    Forces a single worker thread so that bucket times are additive and sum
-    to the total (within measurement noise)."""
-    config = replace(config or DockConfig(), threads=1)
-    timings: dict[str, float] = {}
-    _dock(receptor, ligand, config, timings=timings)
-    named = {
-        k: timings.get(k, 0.0)
-        for k in ("transform", "voxelize", "rotate", "reduce", "other")
-    }
-    total = timings["total"]
-    named["other"] += max(total - sum(named.values()), 0.0)
-    return TimeBreakdown(total=total, **named)
+    poses = tuple(top.sorted_poses())
+    return DockingResult(
+        task_id=f"{receptor.id}__{ligand.id}",
+        receptor_id=receptor.id,
+        ligand_id=ligand.id,
+        grid_spec=spec,
+        params=config.params,
+        angular_step=config.angular_step,
+        top_poses=poses,
+        best_score=poses[0].score,
+        wall_time=time.perf_counter() - t_start,
+    )

@@ -19,8 +19,7 @@ transforms stay in their fast radix paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -38,8 +37,6 @@ __all__ = [
     "next_radix_friendly",
     "choose_grid_size",
     "assign_grid",
-    "dump_grid",
-    "load_grid",
 ]
 
 RECEPTOR = "receptor"
@@ -264,37 +261,3 @@ def assign_grid(
             voxels[dilated & ~core] = params.surface_weight
         voxels[core] = params.receptor_core_weight
     return DockGrid(spec=spec, voxels=voxels, role=role)
-
-
-def dump_grid(grid: DockGrid, path: str | Path) -> None:
-    """Debug dump: one ASCII header line, then little-endian float64
-    (re, im) pairs in x-fastest order. For oracle cross-checks only."""
-    spec = grid.spec
-    ox, oy, oz = spec.origin
-    header = (
-        f"dockgrid v1 n={spec.n} pitch={spec.pitch!r} "
-        f"origin={ox!r},{oy!r},{oz!r} role={grid.role}\n"
-    )
-    flat = grid.voxels.ravel(order="F")  # x varies fastest
-    buf = np.empty(flat.size * 2, dtype="<f8")
-    buf[0::2] = flat.real
-    buf[1::2] = flat.imag
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(buf.tobytes())
-
-
-def load_grid(path: str | Path) -> DockGrid:
-    """Read a dump_grid file back (test helper for the dump format)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        raw = fh.read()
-    fields = dict(item.split("=", 1) for item in header[2:])
-    n = int(fields["n"])
-    pitch = float(fields["pitch"])
-    ox, oy, oz = (float(v) for v in fields["origin"].split(","))
-    buf = np.frombuffer(raw, dtype="<f8")
-    flat = buf[0::2] + 1j * buf[1::2]
-    voxels = flat.reshape((n, n, n), order="F")
-    spec = GridSpec(n=n, pitch=pitch, origin=(ox, oy, oz))
-    return DockGrid(spec=spec, voxels=voxels, role=fields["role"])

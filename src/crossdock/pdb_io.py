@@ -25,7 +25,6 @@ __all__ = [
     "load_structure",
     "bounding_box",
     "structure_to_pdb",
-    "write_structure",
 ]
 
 # 0-based column slices of the ATOM record (PDB format v3.3).
@@ -237,7 +236,3 @@ def structure_to_pdb(s: Structure) -> str:
         )
     out.append("END")
     return "\n".join(out) + "\n"
-
-
-def write_structure(s: Structure, path: str | Path) -> None:
-    Path(path).write_text(structure_to_pdb(s), encoding="utf-8")

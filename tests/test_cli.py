@@ -1,6 +1,6 @@
-"""CLI batch command: a bad input fails only its own tasks, exit code 3, and
-the failure reason reaches report.json and standard error, one line per
-failed attempt."""
+"""CLI: exit codes 0 to 3, and for the batch command that a bad input fails
+only its own tasks, with the failure reason in report.json and on standard
+error, one line per failed attempt."""
 
 import json
 import os
@@ -12,6 +12,33 @@ import crossdock
 from crossdock import cli
 
 from conftest import key_points, lock_points, make_structure, write_pdb
+
+
+def test_exit_0_on_success(capsys):
+    assert cli.main(["rotations", "--step", "90"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "24 unique rotations at 90.0 degree step\n"
+
+
+def test_exit_1_on_a_missing_or_unreadable_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing.pdb")
+    assert cli.main(["dock", missing, missing]) == cli.EXIT_INPUT
+    assert "missing.pdb" in capsys.readouterr().err
+    directory = str(tmp_path)
+    assert cli.main(["dock", directory, directory]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exit_2_on_a_bad_parameter(capsys):
+    assert cli.main(["rotations", "--step", "7"]) == cli.EXIT_CONFIG
+    assert "does not divide 360" in capsys.readouterr().err
+
+
+def test_exit_2_on_a_malformed_analyzer_table(tmp_path, capsys):
+    runs = tmp_path / "runs.tsv"
+    runs.write_text("instance\tn_instances\twall_time_s\tn_pairs\nH16\tx\t300.0\t3481\n",
+                    encoding="utf-8")
+    assert cli.main(["analyze", "--runs", str(runs)]) == cli.EXIT_CONFIG
+    assert f"{runs} line 2" in capsys.readouterr().err
 
 
 def test_cross_with_atomless_ligand_exits_3_and_names_the_error(tmp_path, capsys):

@@ -311,3 +311,31 @@ def test_many_lanes_with_retried_tasks_under_fast_thread_switching(transport):
     assert set(report.completed) == set(ids) and report.failed == {} and report.errors == {}
     assert calls == Counter({tid: 2 if tid in flaky else 1 for tid in ids})
     assert sum(report.per_worker.values()) == len(ids)
+
+
+def timed_master_run(port: int, policy: DispatchPolicy):
+    report = master_run(make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
+    return report, time.perf_counter()
+
+
+def test_master_run_returns_as_soon_as_the_batch_ends():
+    """master_run returns once its last task is terminal, not when a polling
+    acceptor next wakes up (0.25 s steps before the acceptor blocked)."""
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    delays = []
+    for _ in range(10):
+        port = free_port()
+        master, m = in_thread(timed_master_run, port, policy)
+        with connect(port) as sock:
+            wire.send_message(sock, wire.Request("peer"))
+            assign = wire.recv_message(sock)
+            wire.send_message(sock, wire.Result(assign.task.task_id,
+                                                sample_result(assign.task.task_id)))
+            sent = time.perf_counter()
+            assert isinstance(wire.recv_message(sock), wire.Shutdown)
+            join(master, STARTUP)
+        assert "error" not in m, m
+        report, returned = m["value"]
+        assert set(report.completed) == {"r1__l1"}
+        delays.append(returned - sent)
+    assert sum(delays) / len(delays) < 0.05, delays

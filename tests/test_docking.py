@@ -1,9 +1,11 @@
 """Docking: a golden top-K, thread-count independence, floor pruning of the
-per-rotation candidates, the FFT correlation against its direct oracle, the
-array-backed Structure API, and the call seams the benchmark's tracer
-patches."""
+per-rotation candidates, the FFT correlation against its direct oracle,
+dock_pair end to end (the lock-and-key pose, re-scoring by a direct cyclic
+sum), the array-backed Structure API, and the call seams the benchmark's
+tracer patches."""
 
 import hashlib
+import math
 import threading
 from collections import Counter
 
@@ -13,12 +15,14 @@ import pytest
 from crossdock import docking
 from crossdock.docking import (
     DockConfig,
+    Pose,
     _best_candidates,
     _TopK,
     direct_correlate,
     dock_pair,
     fft_correlate,
     generate_rotations,
+    place_ligand,
     rotate_structure,
 )
 from crossdock.grid import LIGAND, RECEPTOR, DockGrid, GridSpec, ScoringParams, assign_grid
@@ -75,13 +79,13 @@ def merged_top_k(volumes, k: int, floor_lag: int | None, order=None) -> tuple[li
     """Merge per-rotation candidates as dock_pair does, rotation indices in
     ``order`` (ascending by default). With ``floor_lag`` set, each rotation
     is reduced under the floor published ``floor_lag`` merges before the
-    latest one (a pool thread may read an old floor); with None, under no
-    floor. Returns the poses and the number of candidates offered."""
+    latest one (a pool thread may read an old floor); with None, under a
+    floor of -inf. Returns the poses and the number of candidates offered."""
     top = _TopK(k)
     floors: list = []
     offered = 0
     for ri in order if order is not None else range(len(volumes)):
-        floor = None
+        floor = -math.inf
         if floor_lag is not None and len(floors) > floor_lag:
             floor = floors[-1 - floor_lag]
         idx, scores = _best_candidates(volumes[ri], k, floor)
@@ -131,6 +135,29 @@ def test_fft_correlate_matches_direct_oracle(n):
         want = direct_correlate(r, g)
         atol = 1e-12 * n**3 * np.abs(rec).max() * max(np.abs(lig).max(), 1.0)
         np.testing.assert_allclose(fft_correlate(r, g), want, rtol=0, atol=atol)
+
+
+def test_dock_pair_recovers_the_lock_and_key_pose(lock_structure, key_input, key_docked):
+    result = dock_pair(lock_structure, key_input, DockConfig(angular_step=90.0, threads=1))
+    best, runner_up = result.top_poses[:2]
+    assert best.score > runner_up.score
+    placed = place_ligand(result, best, key_input)
+    np.testing.assert_allclose(placed, key_docked.coords(), rtol=0, atol=1e-9)
+
+
+def test_best_poses_rescore_by_a_direct_cyclic_sum(blob_pair):
+    """Each pose's score equals the direct correlation sum at its own
+    translation, on grids rasterized anew from place_ligand's coordinates."""
+    rec, lig = blob_pair
+    result = dock_pair(rec, lig, DockConfig(angular_step=60.0, top_k=10, threads=1))
+    spec = result.grid_spec
+    receptor = np.conj(assign_grid(rec, spec, RECEPTOR).voxels)
+    for pose in result.top_poses:
+        unshifted = Pose(pose.rotation_index, 0, 0, 0, pose.score)
+        coords = place_ligand(result, unshifted, lig, wrap=False)
+        ligand = assign_grid(lig.with_coords(coords), spec, LIGAND).voxels
+        shifted = np.roll(ligand, (-pose.tx, -pose.ty, -pose.tz), axis=(0, 1, 2))
+        assert float(np.sum(receptor * shifted).real) == pytest.approx(pose.score, abs=1e-6)
 
 
 class TestStructureArrays:

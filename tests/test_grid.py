@@ -12,9 +12,7 @@ from crossdock.grid import (
     ScoringParams,
     assign_grid,
     choose_grid_size,
-    dump_grid,
     is_radix_friendly,
-    load_grid,
     next_radix_friendly,
 )
 from crossdock.pdb_io import AtomRecord, Structure
@@ -440,31 +438,3 @@ class TestAssignGrid:
         spec = GridSpec(n=8, pitch=1.2, origin=(0.0, 0.0, 0.0))
         with pytest.raises(NoAtomsError):
             assign_grid(Structure(id="e", atoms=()), spec, LIGAND)
-
-
-def test_grid_dump_round_trip(tmp_path):
-    spec = GridSpec(n=8, pitch=1.2, origin=(-4.2, 0.0, 3.3))
-    s = single_atom("one", -1.0, 3.0, 6.0)
-    grid = assign_grid(s, spec, RECEPTOR)
-    path = tmp_path / "grid.bin"
-    dump_grid(grid, path)
-    back = load_grid(path)
-    assert back.spec == grid.spec
-    assert back.role == grid.role
-    assert np.array_equal(back.voxels, grid.voxels)
-
-
-def test_grid_dump_is_x_fastest(tmp_path):
-    spec = GridSpec(n=4, pitch=1.0, origin=(0.0, 0.0, 0.0))
-    voxels = np.zeros((4, 4, 4), dtype=np.complex128)
-    voxels[1, 0, 0] = 2.0 + 0j  # x index 1 -> second pair in the stream
-    voxels[0, 0, 1] = 0 + 3.0j  # z index 1 -> pair 16
-    from crossdock.grid import DockGrid
-
-    path = tmp_path / "g.bin"
-    dump_grid(DockGrid(spec=spec, voxels=voxels, role=LIGAND), path)
-    raw = path.read_bytes()
-    payload = raw.split(b"\n", 1)[1]
-    values = np.frombuffer(payload, dtype="<f8")
-    assert values[2] == 2.0  # pair 1 (x fastest), real part
-    assert values[2 * 16 + 1] == 3.0  # pair 16, imaginary part
