@@ -4,7 +4,6 @@ from .docking import (
     DockConfig,
     DockingResult,
     Pose,
-    Rotation,
     direct_correlate,
     dock_pair,
     fft_correlate,

@@ -273,11 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
+    # The level and the stderr handler go on the crossdock logger itself, so
+    # that -v also works in a host program that configured the root logger.
+    # The handler lives for this run only: repeated runs never stack them.
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s"))
+    log.addHandler(handler)
     try:
         return args.func(args)
     except (PdbParseError, NoAtomsError, FileNotFoundError, IsADirectoryError,
@@ -287,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CrossdockError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

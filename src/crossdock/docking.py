@@ -36,7 +36,6 @@ from .grid import (
 from .pdb_io import Structure, bounding_box
 
 __all__ = [
-    "Rotation",
     "generate_rotations",
     "rotate_structure",
     "fft_correlate",
@@ -48,113 +47,27 @@ __all__ = [
     "place_ligand",
 ]
 
-_UNIT_TOL = 1e-9
-_DEDUP_TOL = 1e-6
 _ZERO_SNAP = 1e-12
-_CELL_OFFSETS = [
-    (dw, dx, dy, dz)
-    for dw in (-1, 0, 1)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-]
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """A unit quaternion (w, x, y, z) in canonical sign form.
+def generate_rotations(angular_step: float) -> np.ndarray:
+    """The rotation set for one angular step: an (N, 4) float64 array of
+    unit quaternions (w, x, y, z), one row per rotation. A pose's
+    ``rotation_index`` is a row of this array.
 
-    Canonical form: w >= 0, and when w == 0 the first nonzero component of
-    (x, y, z) is positive, so each rotation has exactly one representation.
-    """
+    The rows come from the uniform z-y-z Euler grid: alpha and gamma run
+    over [0, 360) and beta over [0, 180] in ``angular_step`` steps. Each
+    quaternion is put in canonical form: components within 1e-12 of zero
+    are snapped to zero, the row is renormalized, and its first nonzero
+    component is made positive. Rows are sorted lexicographically by
+    (w, x, y, z); equal rows keep their (alpha, beta, gamma) order.
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        norm2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
-        if abs(norm2 - 1.0) > 1e-9:
-            raise ParameterError(f"quaternion is not unit length: |q|^2 = {norm2!r}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.w == 1.0
-
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
-
-    def matrix(self) -> np.ndarray:
-        """Rotation matrix acting on column vectors."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    @staticmethod
-    def from_euler_zyz(alpha_deg: float, beta_deg: float, gamma_deg: float) -> "Rotation":
-        """z-y-z Euler angles (degrees) to a canonical quaternion."""
-        qa = _axis_quat("z", alpha_deg)
-        qb = _axis_quat("y", beta_deg)
-        qg = _axis_quat("z", gamma_deg)
-        return canonical_rotation(*_qmul(_qmul(qa, qb), qg))
-
-
-def _axis_quat(axis: str, angle_deg: float) -> tuple[float, float, float, float]:
-    half = math.radians(angle_deg) / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if axis == "z":
-        return (c, 0.0, 0.0, s)
-    if axis == "y":
-        return (c, 0.0, s, 0.0)
-    return (c, s, 0.0, 0.0)
-
-
-def _qmul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def canonical_rotation(w: float, x: float, y: float, z: float) -> Rotation:
-    """Normalize and put a quaternion into canonical sign form.
-
-    Components within 1e-12 of zero are snapped to exactly zero before the
-    sign rule is applied, so near-antipodal duplicates from the Euler grid
-    canonicalize consistently.
-    """
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    if norm == 0.0:
-        raise ParameterError("zero quaternion has no rotation")
-    comps = [w / norm, x / norm, y / norm, z / norm]
-    comps = [0.0 if abs(c) < _ZERO_SNAP else c for c in comps]
-    norm = math.sqrt(sum(c * c for c in comps))
-    comps = [c / norm for c in comps]
-    for c in comps:
-        if c != 0.0:
-            if c < 0.0:
-                comps = [-v for v in comps]
-            break
-    return Rotation(*comps)
-
-
-def generate_rotations(angular_step: float) -> list[Rotation]:
-    """Unique rotations from the uniform z-y-z Euler grid with the given step.
-
-    alpha and gamma run over [0, 360), beta over [0, 180]; duplicates (same
-    rotation from different Euler triples) are removed with a 1e-6 tolerance.
-    The result is sorted by quaternion components, so the order and the
-    rotation indices are deterministic.
+    Dedupe: distinct Euler triples name the same rotation only at the
+    poles, where a beta = 0 triple depends on alpha + gamma alone and a
+    beta = 180 triple on alpha - gamma alone (mod 360). Of each such group
+    the row first in sort order is kept. Every other triple is a distinct
+    rotation; at the usual steps (the tests check 15 to 90 degrees) no two
+    kept rows lie within 1e-6 of each other (max-norm).
     """
     if not (0.0 < angular_step <= 120.0):
         raise ParameterError(f"angular step must be in (0, 120], got {angular_step}")
@@ -162,54 +75,69 @@ def generate_rotations(angular_step: float) -> list[Rotation]:
     if abs(turns - round(turns)) > 1e-9:
         raise ParameterError(f"angular step {angular_step} does not divide 360 evenly")
 
-    n_full = int(round(turns))
-    alphas = [i * angular_step for i in range(n_full)]
-    betas = [i * angular_step for i in range(n_full) if i * angular_step <= 180.0 + 1e-9]
-    quats = [
-        Rotation.from_euler_zyz(a, b, g).components()
-        for a in alphas
-        for b in betas
-        for g in alphas
-    ]
-    quats.sort()
+    n = int(round(turns))
+    angles = [i * angular_step for i in range(n)]
+    n_beta = sum(1 for a in angles if a <= 180.0 + 1e-9)
+    half = [math.radians(a) / 2.0 for a in angles]
+    cos = np.array([math.cos(h) for h in half])
+    sin = np.array([math.sin(h) for h in half])
+    ca, sa = cos[:, None, None], sin[:, None, None]
+    cb, sb = cos[None, :n_beta, None], sin[None, :n_beta, None]
+    cg, sg = cos[None, None, :], sin[None, None, :]
+    # q_z(alpha) * q_y(beta) * q_z(gamma), the Hamilton products with their
+    # zero terms dropped and the others summed in the product's order.
+    w1, x1, y1, z1 = ca * cb, -(sa * sb), ca * sb, sa * cb
+    q = np.stack(
+        [w1 * cg - z1 * sg, x1 * cg + y1 * sg, y1 * cg - x1 * sg, w1 * sg + z1 * cg],
+        axis=-1,
+    ).reshape(-1, 4)
 
-    # Componentwise duplicates within the tolerance can straddle unrelated
-    # elements in sort order, so dedupe through a grid hash: a duplicate of
-    # a kept quaternion always lies in the same or a neighboring cell.
-    unique: list[Rotation] = []
-    cells: dict[tuple[int, int, int, int], list[tuple[float, ...]]] = {}
-    for q in quats:
-        cell = tuple(math.floor(c / _DEDUP_TOL) for c in q)
-        dup = False
-        for offset in _CELL_OFFSETS:
-            bucket = cells.get(
-                (cell[0] + offset[0], cell[1] + offset[1],
-                 cell[2] + offset[2], cell[3] + offset[3])
-            )
-            if bucket and any(
-                max(abs(q[i] - kept[i]) for i in range(4)) <= _DEDUP_TOL
-                for kept in bucket
-            ):
-                dup = True
-                break
-        if not dup:
-            cells.setdefault(cell, []).append(q)
-            unique.append(Rotation(*q))
-    return unique
+    def normalized(q: np.ndarray) -> np.ndarray:
+        w, x, y, z = q.T  # squares summed left to right, as on Python floats
+        return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+
+    q = normalized(q)
+    q[np.abs(q) < _ZERO_SNAP] = 0.0
+    q = normalized(q)
+    first_nonzero = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    q = np.where((first_nonzero < 0.0)[:, None], -q, q)
+
+    order = np.lexsort(q.T[::-1])
+    # One key per rotation: a pole triple keeps only the angle it depends on.
+    ia, ib, ig = np.indices((n, n_beta, n)).reshape(3, -1)
+    pole = (ib == 0) | (2 * ib == n)
+    ia = np.where(pole, np.where(ib == 0, ia + ig, ia - ig) % n, ia)
+    ig = np.where(pole, 0, ig)
+    _, first = np.unique(((ia * n_beta + ib) * n + ig)[order], return_index=True)
+    return q[order[np.sort(first)]]
 
 
-def rotate_structure(s: Structure, r: Rotation, center) -> Structure:
-    """Rotate every atom of ``s`` about ``center`` by ``r``.
+def _matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix, acting on column vectors, of the unit quaternion
+    row ``q`` = (w, x, y, z)."""
+    w, x, y, z = (float(c) for c in q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
-    Atom order and identities are unchanged; the identity rotation returns
-    the coordinates untouched (bit for bit).
+
+def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
+    """Rotate every atom of ``s`` about ``center`` by the unit quaternion
+    ``q``, one (w, x, y, z) row of a generate_rotations array.
+
+    Atom order and identities are unchanged; the identity rotation
+    (w == 1) returns ``s`` itself, coordinates untouched bit for bit.
     """
     if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
-    if r.is_identity:
+    if q[0] == 1.0:
         return s
     c = np.asarray(center, dtype=np.float64)
-    coords = (s.coords() - c) @ r.matrix().T + c
+    coords = (s.coords() - c) @ _matrix(q).T + c
     return s.with_coords(coords)
 
 
@@ -274,8 +202,8 @@ class DockConfig:
     threads: int = 0  # 0 = use all logical cores
 
     def validate(self) -> None:
-        if self.pitch <= 0:
-            raise ParameterError(f"pitch must be > 0, got {self.pitch}")
+        if not 0 < self.pitch < math.inf:
+            raise ParameterError(f"pitch must be finite and > 0, got {self.pitch}")
         if self.margin_voxels < 0:
             raise ParameterError(f"margin_voxels must be >= 0, got {self.margin_voxels}")
         if self.top_k < 1:
@@ -298,18 +226,31 @@ class DockConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DockConfig":
-        """Fields missing from ``d`` keep their defaults."""
+        """Fields missing from ``d`` keep their defaults. ``d`` that is not
+        a mapping, or a value that does not convert, is a ParameterError."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
         convert = {"pitch": float, "margin_voxels": int, "angular_step": float,
                    "top_k": int, "params": ScoringParams.from_dict, "threads": int}
-        cfg = cls(**{key: convert[key](value) for key, value in d.items() if key in convert})
+        fields = {}
+        for key, value in d.items():
+            if key in convert:
+                try:
+                    fields[key] = convert[key](value)
+                except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                    raise ParameterError(
+                        f"config field {key!r}: bad value {value!r} "
+                        f"({type(exc).__name__}: {exc})") from None
+        cfg = cls(**fields)
         cfg.validate()
         return cfg
 
 
 @dataclass(frozen=True)
 class Pose:
-    """One rigid-body placement: rotation index into the rotation set plus a
-    cyclic voxel translation, with its score."""
+    """One rigid-body placement: a rotation plus a cyclic voxel translation,
+    with its score. ``rotation_index`` is a row of the (N, 4) quaternion
+    array generate_rotations(angular_step) of the run's angular step."""
 
     rotation_index: int
     tx: int
@@ -485,13 +426,15 @@ def place_ligand(
     The correlation samples the rotated ligand grid at v + t, so a pose
     moves the centered, rotated ligand by -t voxels; with ``wrap`` the
     coordinates are folded cyclically into the grid box. ``ligand`` must be
-    the structure that was passed to dock_pair.
+    the structure that was passed to dock_pair. The rotation is row
+    ``pose.rotation_index`` of the (N, 4) quaternion array
+    generate_rotations(result.angular_step).
     """
     spec = result.grid_spec
-    rot = generate_rotations(result.angular_step)[pose.rotation_index]
+    q = generate_rotations(result.angular_step)[pose.rotation_index]
     center = spec.center()
     coords = _centered_coords(ligand, spec)
-    coords = (coords - center) @ rot.matrix().T + center
+    coords = (coords - center) @ _matrix(q).T + center
     coords = coords - np.array([pose.tx, pose.ty, pose.tz]) * spec.pitch
     if wrap:
         box_lo = np.asarray(spec.origin) - spec.pitch / 2.0

@@ -1,10 +1,9 @@
-"""Read and write the fixed-column subset of the PDB format used for docking.
+"""Read the fixed-column subset of the PDB format used for docking.
 
 Only ``ATOM`` records are read. HETATM, TER, REMARK and every other record
 type is skipped, and ``ENDMDL`` stops parsing, so multi-model files yield the
 first model only. Alternate-location indicators are not interpreted: every
-ATOM line is kept, in file order. Occupancy and B-factor columns are ignored
-on input and written as constants on output.
+ATOM line is kept, in file order. Occupancy and B-factor columns are ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "parse_pdb",
     "load_structure",
     "bounding_box",
-    "structure_to_pdb",
 ]
 
 # 0-based column slices of the ATOM record (PDB format v3.3).
@@ -201,38 +199,3 @@ def bounding_box(s: Structure) -> tuple[np.ndarray, np.ndarray]:
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
     coords = s.coords()
     return coords.min(axis=0), coords.max(axis=0)
-
-
-def _format_atom_name(name: str, element: str) -> str:
-    # Standard alignment: names shorter than 4 chars start in column 14
-    # unless the element symbol is two characters wide.
-    if len(name) < 4 and len(element) != 2:
-        name = " " + name
-    return f"{name:<4.4s}"
-
-
-def structure_to_pdb(s: Structure) -> str:
-    """Serialize to standards-shaped ATOM lines (3-decimal coordinates)."""
-    out = []
-    for a in s.atoms:
-        out.append(
-            "ATOM  {serial:>5d} {name}{altloc}{res:>3.3s} {chain:1.1s}"
-            "{resseq:>4d}{icode}   {x:8.3f}{y:8.3f}{z:8.3f}{occ:6.2f}"
-            "{bfac:6.2f}          {element:>2.2s}".format(
-                serial=a.serial,
-                name=_format_atom_name(a.atom_name, a.element),
-                altloc=" ",
-                res=a.residue_name,
-                chain=a.chain_id or " ",
-                resseq=a.residue_seq,
-                icode=" ",
-                x=a.x,
-                y=a.y,
-                z=a.z,
-                occ=1.0,
-                bfac=0.0,
-                element=a.element,
-            )
-        )
-    out.append("END")
-    return "\n".join(out) + "\n"

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossdock.docking import DockingResult, Pose, Rotation, rotate_structure
+from crossdock.docking import DockingResult, Pose, generate_rotations, rotate_structure
 from crossdock.grid import GridSpec, ScoringParams
-from crossdock.pdb_io import AtomRecord, Structure, bounding_box, structure_to_pdb
+from crossdock.pdb_io import AtomRecord, Structure, bounding_box
 
 # Atom spacing for grid-aligned synthetic shapes: two 1.2 A voxels. With an
 # even grid edge every atom center then sits exactly between voxel centers,
@@ -69,7 +69,16 @@ def key_points() -> list[tuple[int, int, int]]:
     return [(1, 1, 0), (1, 2, 0), (2, 2, 0), (3, 2, 0), (3, 3, 0), (2, 3, 0)]
 
 
-KEY_INPUT_ROTATION = Rotation.from_euler_zyz(90.0, 0.0, 0.0)
+def z_quarter_turn() -> np.ndarray:
+    """The 90 degree rotation about +z, (cos 45, 0, 0, sin 45), as the row
+    of the 90 degree rotation set that holds it."""
+    rotations = generate_rotations(90.0)
+    w, x, y, z = rotations.T
+    [q] = rotations[(x == 0.0) & (y == 0.0) & (w > 0.0) & (z > 0.0)]
+    return q
+
+
+KEY_INPUT_ROTATION = z_quarter_turn()
 
 
 @pytest.fixture
@@ -88,6 +97,43 @@ def key_input(key_docked: Structure) -> Structure:
     around its bounding-box center."""
     lo, hi = bounding_box(key_docked)
     return rotate_structure(key_docked, KEY_INPUT_ROTATION, (lo + hi) / 2.0)
+
+
+def _format_atom_name(name: str, element: str) -> str:
+    # Standard alignment: names shorter than 4 chars start in column 14
+    # unless the element symbol is two characters wide.
+    if len(name) < 4 and len(element) != 2:
+        name = " " + name
+    return f"{name:<4.4s}"
+
+
+def structure_to_pdb(s: Structure) -> str:
+    """Serialize to standards-shaped ATOM lines (3-decimal coordinates,
+    constant occupancy and B-factor): the writer the PDB round-trip test
+    and the file fixtures use."""
+    out = []
+    for a in s.atoms:
+        out.append(
+            "ATOM  {serial:>5d} {name}{altloc}{res:>3.3s} {chain:1.1s}"
+            "{resseq:>4d}{icode}   {x:8.3f}{y:8.3f}{z:8.3f}{occ:6.2f}"
+            "{bfac:6.2f}          {element:>2.2s}".format(
+                serial=a.serial,
+                name=_format_atom_name(a.atom_name, a.element),
+                altloc=" ",
+                res=a.residue_name,
+                chain=a.chain_id or " ",
+                resseq=a.residue_seq,
+                icode=" ",
+                x=a.x,
+                y=a.y,
+                z=a.z,
+                occ=1.0,
+                bfac=0.0,
+                element=a.element,
+            )
+        )
+    out.append("END")
+    return "\n".join(out) + "\n"
 
 
 def write_pdb(tmp_path, structure: Structure) -> str:

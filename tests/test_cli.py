@@ -3,10 +3,13 @@ only its own tasks, with the failure reason in report.json and on standard
 error, one line per failed attempt."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import crossdock
 from crossdock import cli
@@ -17,6 +20,8 @@ from conftest import key_points, lock_points, make_structure, write_pdb
 def test_exit_0_on_success(capsys):
     assert cli.main(["rotations", "--step", "90"]) == cli.EXIT_OK
     assert capsys.readouterr().out == "24 unique rotations at 90.0 degree step\n"
+    assert cli.main(["rotations", "--step", "15"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "6384 unique rotations at 15.0 degree step\n"
 
 
 def test_exit_1_on_a_missing_or_unreadable_input(tmp_path, capsys):
@@ -31,6 +36,37 @@ def test_exit_1_on_a_missing_or_unreadable_input(tmp_path, capsys):
 def test_exit_2_on_a_bad_parameter(capsys):
     assert cli.main(["rotations", "--step", "7"]) == cli.EXIT_CONFIG
     assert "does not divide 360" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["[1, 2]", '{"pitch": "abc"}', '{"pitch": NaN}'])
+def test_exit_2_on_a_bad_config_file(tmp_path, capsys, config):
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+    lists = [str(tmp_path / "list.txt")] * 2
+    code = cli.main(["cross", *lists, "--config", str(tmp_path / "cfg.json"), "--dry-run"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_v_sets_the_crossdock_logger_under_a_configured_root(capsys):
+    """A host program's root handler must not swallow -v, and repeated runs
+    must not stack stderr handlers."""
+    root, crossdock_log = logging.getLogger(), logging.getLogger("crossdock")
+    host, level = logging.NullHandler(), crossdock_log.level
+    handlers = list(crossdock_log.handlers)
+    root.addHandler(host)
+    try:
+        for _ in range(2):
+            assert cli.main(["-v", "rotations", "--step", "90"]) == cli.EXIT_OK
+            assert crossdock_log.level == logging.INFO
+            assert crossdock_log.handlers == handlers
+        assert cli.main(["rotations", "--step", "90"]) == cli.EXIT_OK
+        assert crossdock_log.level == logging.WARNING
+    finally:
+        root.removeHandler(host)
+        crossdock_log.setLevel(level)
 
 
 def test_exit_2_on_a_malformed_analyzer_table(tmp_path, capsys):

@@ -10,8 +10,9 @@ from crossdock.pdb_io import (
     bounding_box,
     load_structure,
     parse_pdb,
-    structure_to_pdb,
 )
+
+from conftest import structure_to_pdb
 
 CANON_LINE = "ATOM      1  N   MET A   1      10.000  20.000  30.000  1.00  0.00           N"
 
