@@ -67,7 +67,9 @@ def _add_dock_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top-k", type=int, default=None, dest="top_k",
                    help="poses kept per pair (default 2000)")
     p.add_argument("--threads", type=int, default=None,
-                   help="threads inside one docking run (default: all logical cores)")
+                   help="threads inside one docking run (default 0: the logical cores "
+                        "divided by the lanes in this process, at least 1; all "
+                        "cores for dock)")
 
 
 def _build_config(args: argparse.Namespace) -> DockConfig:
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross", help="all-to-all docking with an in-process worker pool")
     add_batch_flags(p)
     p.add_argument("--workers", type=int, default=max(os.cpu_count() or 1, 1),
-                   help="worker lanes in this process (default: logical cores)")
+                   help="worker lanes in this process (default: logical cores); "
+                        "with the default --threads they share the cores")
     p.set_defaults(func=cmd_cross)
 
     p = sub.add_parser("master", help="serve an all-to-all batch to TCP workers")
@@ -255,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worker", help="run docking tasks for a master")
     p.add_argument("--connect", help=f"master host:port (or ${ENV_CONNECT})")
     p.add_argument("--slots", type=int, default=4,
-                   help="concurrent task lanes in this worker (default 4)")
+                   help="concurrent task lanes in this worker (default 4); each "
+                        "docks on the logical cores divided by the slots, at least 1")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("analyze", help="scaling/throughput/fee report from run records")

@@ -85,7 +85,7 @@ class BatchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def results_tsv(self) -> str:
         lines = [TSV_HEADER]
@@ -429,7 +429,8 @@ def local_pool_run(
     transition_hook=None,
 ) -> BatchReport:
     """master_run plus ``workers`` single-slot lanes (run_lane, as in
-    worker_loop) over in-memory connections, all inside this process.
+    worker_loop) over in-memory connections, all inside this process; the
+    lanes share the cores (docking.thread_budget).
 
     Unlike master_run, an empty task list is accepted and yields an empty
     report. A task whose executor raises costs only itself one attempt;
@@ -445,8 +446,8 @@ def local_pool_run(
     core = _MasterCore(tasks, policy, transition_hook)
     conns = [_LocalConn(core.events) for _ in range(workers)]
     lanes = [
-        threading.Thread(target=run_lane, args=(conn.post, conn.inbox.get, executor, f"local-{i}"),
-                         daemon=True)
+        threading.Thread(target=run_lane, daemon=True,
+                         args=(conn.post, conn.inbox.get, executor, f"local-{i}", workers))
         for i, conn in enumerate(conns)
     ]
     for lane in lanes:

@@ -5,7 +5,9 @@ TASK_FAILED when the executor raises, and keeps serving either way.
 worker_loop runs ``slots`` lanes over one connection, whose reader thread
 feeds the ASSIGN replies (interchangeable between lanes) into a shared
 queue; SHUTDOWN, EOF or a malformed frame stops every lane. local_pool_run
-runs the same lanes over in-memory connections.
+runs the same lanes over in-memory connections. Either way the lanes of
+one process share its cores: in a lane, a threads=0 task docks on the
+logical cores divided by the lane count (docking.thread_budget).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import threading
 import time
 from typing import Callable
 
-from ..docking import DockingResult
+from ..docking import DockingResult, thread_budget
 from ..errors import DispatchError, WireError
 from . import wire
 from .tasks import DockingTask, execute_task
@@ -56,34 +58,37 @@ def run_lane(
     recv: Callable[[], wire.Message | None],
     executor: Callable[[DockingTask], DockingResult],
     worker_id: str,
+    lanes: int = 1,
 ) -> int:
     """Serve tasks until SHUTDOWN or the end of the connection; returns
     the number of results delivered.
 
     ``send`` returns False once the connection is gone; ``recv`` returns
-    None at its end.
+    None at its end. ``lanes`` is the number of lanes in this process; the
+    executor runs under their shared thread budget.
     """
     delivered = 0
-    while send(wire.Request(worker_id)):
-        msg = recv()
-        if msg is None or isinstance(msg, wire.Shutdown):
-            break
-        if not isinstance(msg, wire.Assign):
-            log.warning("lane %s ignoring unexpected %r", worker_id, msg)
-            continue
-        task_id = msg.task.task_id
-        try:
-            reply = wire.Result(task_id, executor(msg.task))
-        except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            # One line per failed attempt; the traceback only when verbose.
-            log.warning("task %s failed: %s", task_id, reason,
-                        exc_info=log.isEnabledFor(logging.INFO))
-            reply = wire.TaskFailed(task_id, reason)
-        if not send(reply):
-            break
-        if isinstance(reply, wire.Result):
-            delivered += 1
+    with thread_budget(lanes):
+        while send(wire.Request(worker_id)):
+            msg = recv()
+            if msg is None or isinstance(msg, wire.Shutdown):
+                break
+            if not isinstance(msg, wire.Assign):
+                log.warning("lane %s ignoring unexpected %r", worker_id, msg)
+                continue
+            task_id = msg.task.task_id
+            try:
+                reply = wire.Result(task_id, executor(msg.task))
+            except Exception as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                # One line per failed attempt; the traceback only when verbose.
+                log.warning("task %s failed: %s", task_id, reason,
+                            exc_info=log.isEnabledFor(logging.INFO))
+                reply = wire.TaskFailed(task_id, reason)
+            if not send(reply):
+                break
+            if isinstance(reply, wire.Result):
+                delivered += 1
     return delivered
 
 
@@ -150,7 +155,7 @@ def worker_loop(
     delivered = [0] * slots
 
     def lane(index: int) -> None:
-        delivered[index] = run_lane(send, responses.get, executor, worker_id)
+        delivered[index] = run_lane(send, responses.get, executor, worker_id, slots)
 
     lanes = [threading.Thread(target=lane, args=(i,), daemon=True) for i in range(slots)]
     for t in lanes:

@@ -13,12 +13,14 @@ translation scan with cyclic indexing and no transforms. Keep it that way.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,8 @@ from .grid import (
     ScoringParams,
     assign_grid,
     choose_grid_size,
+    float_field,
+    int_field,
 )
 from .pdb_io import Structure, bounding_box
 
@@ -45,15 +49,18 @@ __all__ = [
     "DockingResult",
     "dock_pair",
     "place_ligand",
+    "thread_budget",
 ]
 
 _ZERO_SNAP = 1e-12
 
 
+@functools.cache
 def generate_rotations(angular_step: float) -> np.ndarray:
     """The rotation set for one angular step: an (N, 4) float64 array of
     unit quaternions (w, x, y, z), one row per rotation. A pose's
-    ``rotation_index`` is a row of this array.
+    ``rotation_index`` is a row of this array. The set is built once per
+    step and shared: every call returns the same read-only array.
 
     The rows come from the uniform z-y-z Euler grid: alpha and gamma run
     over [0, 360) and beta over [0, 180] in ``angular_step`` steps. Each
@@ -109,7 +116,9 @@ def generate_rotations(angular_step: float) -> np.ndarray:
     ia = np.where(pole, np.where(ib == 0, ia + ig, ia - ig) % n, ia)
     ig = np.where(pole, 0, ig)
     _, first = np.unique(((ia * n_beta + ib) * n + ig)[order], return_index=True)
-    return q[order[np.sort(first)]]
+    q = q[order[np.sort(first)]]
+    q.flags.writeable = False
+    return q
 
 
 def _matrix(q: np.ndarray) -> np.ndarray:
@@ -190,6 +199,23 @@ def direct_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
     return out
 
 
+# The thread budget of the dispatch lane running in this thread; 0 outside
+# any lane. Set once per lane by thread_budget.
+_lane_threads: ContextVar[int] = ContextVar("lane_threads", default=0)
+
+
+@contextmanager
+def thread_budget(lanes: int):
+    """Run the block as one of ``lanes`` dispatch lanes in this process:
+    in this thread, a threads=0 DockConfig resolves to the logical cores
+    divided by ``lanes``, and at least 1, so the lanes share the cores."""
+    token = _lane_threads.set(max(1, (os.cpu_count() or 1) // lanes))
+    try:
+        yield
+    finally:
+        _lane_threads.reset(token)
+
+
 @dataclass(frozen=True)
 class DockConfig:
     """Knobs for one docking run; every field has a usable default."""
@@ -199,7 +225,9 @@ class DockConfig:
     angular_step: float = 15.0
     top_k: int = 2000
     params: ScoringParams = field(default_factory=ScoringParams)
-    threads: int = 0  # 0 = use all logical cores
+    # 0 = the thread budget: inside a dispatch lane, the logical cores
+    # divided by the lanes in this process (at least 1); all cores otherwise.
+    threads: int = 0
 
     def validate(self) -> None:
         if not 0 < self.pitch < math.inf:
@@ -212,7 +240,7 @@ class DockConfig:
             raise ParameterError(f"threads must be >= 0, got {self.threads}")
 
     def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+        return self.threads or _lane_threads.get() or os.cpu_count() or 1
 
     def to_dict(self) -> dict:
         return {
@@ -227,11 +255,13 @@ class DockConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "DockConfig":
         """Fields missing from ``d`` keep their defaults. ``d`` that is not
-        a mapping, or a value that does not convert, is a ParameterError."""
+        a mapping, or a value that does not convert exactly (a bool, or a
+        fraction where an int is due), is a ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
-        convert = {"pitch": float, "margin_voxels": int, "angular_step": float,
-                   "top_k": int, "params": ScoringParams.from_dict, "threads": int}
+        convert = {"pitch": float_field, "margin_voxels": int_field,
+                   "angular_step": float_field, "top_k": int_field,
+                   "params": ScoringParams.from_dict, "threads": int_field}
         fields = {}
         for key, value in d.items():
             if key in convert:
@@ -322,7 +352,7 @@ class DockingResult:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_tsv_line(self) -> str:
         return "\t".join(
@@ -341,48 +371,60 @@ TSV_HEADER = "task_id\treceptor_id\tligand_id\tn\tbest_score\twall_time_s"
 
 
 class _TopK:
-    """Bounded best-K set under the Pose total order.
+    """Bounded best-K set under the Pose total order, kept as two arrays:
+    the scores and the global keys ``rotation * n^3 + flat``, whose
+    ascending order is (rotation, tx, ty, tz) ascending.
 
-    heapq keeps the *worst* kept entry at the root by storing the inverted
-    key (score, -rotation, -tx, -ty, -tz); the kept set depends only on the
-    multiset of candidates, never on insertion order. Once K entries are
-    kept, ``floor`` is the root's score (-inf before): it never decreases,
-    and no entry scoring below it can enter the set any more.
+    A candidate is buffered only if it beats the K-th kept entry: a higher
+    score, or an equal score and a smaller key. Once the buffer holds K
+    entries, and before sorted_poses, one lexsort by (-score, key) folds it
+    into the kept set, which therefore depends only on the multiset of
+    candidates, never on merge order. Once K entries are kept, ``floor`` is
+    the K-th score (-inf before): it never decreases, and no entry scoring
+    below it can enter the set any more.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self._heap: list[tuple] = []
         self.floor = -math.inf
-
-    def offer(self, inv_key: tuple) -> bool:
-        """inv_key = (score, -ri, -tx, -ty, -tz). Returns False once the
-        candidate (and everything worse) can be discarded."""
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, inv_key)
-        elif inv_key <= self._heap[0]:
-            return False
-        else:
-            heapq.heapreplace(self._heap, inv_key)
-        if len(self._heap) == self.k:
-            self.floor = self._heap[0][0]
-        return True
+        self._n = 0
+        self._scores = np.empty(0)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
+        self._buffered = 0
 
     def merge(self, ri: int, idx: np.ndarray, scores: np.ndarray, n: int) -> None:
-        """Offer rotation ``ri``'s candidates from _best_candidates (flat
-        indices into its n^3 volume, best first) until one is rejected."""
-        n2 = n * n
-        for flat, score in zip(idx.tolist(), scores.tolist()):
-            tx, rem = divmod(flat, n2)
-            ty, tz = divmod(rem, n)
-            if not self.offer((score, -ri, -tx, -ty, -tz)):
-                break  # candidates arrive best-first; the rest are worse
+        """Buffer rotation ``ri``'s candidates from _best_candidates (flat
+        indices into its n^3 volume) that beat the K-th kept entry."""
+        self._n = n
+        keys = idx + ri * n**3
+        if len(self._scores) == self.k:
+            score, key = self._scores[-1], self._keys[-1]
+            beats = (scores > score) | ((scores == score) & (keys < key))
+            scores, keys = scores[beats], keys[beats]
+        self._buffer.append((scores, keys))
+        self._buffered += len(scores)
+        if self._buffered >= self.k:
+            self._fold()
+
+    def _fold(self) -> None:
+        scores = np.concatenate([self._scores, *(s for s, _ in self._buffer)])
+        keys = np.concatenate([self._keys, *(k for _, k in self._buffer)])
+        best = np.lexsort((keys, -scores))[: self.k]
+        self._scores, self._keys = scores[best], keys[best]
+        self._buffer, self._buffered = [], 0
+        if len(best) == self.k:
+            self.floor = float(self._scores[-1])
 
     def sorted_poses(self) -> list[Pose]:
-        out = []
-        for score, nri, ntx, nty, ntz in sorted(self._heap, reverse=True):
-            out.append(Pose(-nri, -ntx, -nty, -ntz, float(score)))
-        return out
+        if self._buffer:
+            self._fold()
+        n = self._n
+        ri, flat = np.divmod(self._keys, n**3)
+        tx, rem = np.divmod(flat, n * n)
+        ty, tz = np.divmod(rem, n)
+        columns = (ri.tolist(), tx.tolist(), ty.tolist(), tz.tolist(), self._scores.tolist())
+        return [Pose(*pose) for pose in zip(*columns)]
 
 
 def _best_candidates(
@@ -446,11 +488,15 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     """Dock ``ligand`` against ``receptor`` over all sampled rotations and
     cyclic translations; returns the global top-K poses.
 
-    The receptor grid and its transform are built exactly once. Results are
-    bit-identical across runs and across thread counts (wall_time aside).
-    The margin must absorb the ligand's rotation sweep: a very elongated
-    ligand against a much smaller receptor can overflow the grid, which
-    raises GridOverflowError naming the atom.
+    The receptor grid and its transform are built exactly once. Each
+    rotation's candidates, those at or above the published floor, are
+    merged as arrays into _TopK, which folds them in with one lexsort per
+    K buffered entries. Results are bit-identical across runs and across
+    thread counts (wall_time aside). ``config.threads`` = 0 means all
+    logical cores, or inside a dispatch lane the lane's share of them
+    (thread_budget). The margin must absorb the ligand's rotation sweep: a
+    very elongated ligand against a much smaller receptor can overflow the
+    grid, which raises GridOverflowError naming the atom.
     """
     config = config or DockConfig()
     config.validate()

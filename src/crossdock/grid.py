@@ -37,6 +37,8 @@ __all__ = [
     "next_radix_friendly",
     "choose_grid_size",
     "assign_grid",
+    "int_field",
+    "float_field",
 ]
 
 RECEPTOR = "receptor"
@@ -79,12 +81,27 @@ class ScoringParams:
     @classmethod
     def from_dict(cls, d: dict) -> "ScoringParams":
         return cls(
-            surface_weight=float(d["surface_weight"]),
-            receptor_core_weight=float(d["receptor_core_weight"]),
-            ligand_weight=float(d["ligand_weight"]),
-            atom_radius=float(d["atom_radius"]),
-            surface_thickness=int(d["surface_thickness"]),
+            surface_weight=float_field(d["surface_weight"]),
+            receptor_core_weight=float_field(d["receptor_core_weight"]),
+            ligand_weight=float_field(d["ligand_weight"]),
+            atom_radius=float_field(d["atom_radius"]),
+            surface_thickness=int_field(d["surface_thickness"]),
         )
+
+
+def int_field(value) -> int:
+    """A config value read as an int: a bool or a non-integral number is a
+    ValueError, where int() would read True as 1 and truncate 2.7 to 2."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def float_field(value) -> float:
+    """A config value read as a float: a bool is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def is_radix_friendly(n: int) -> bool:

@@ -38,7 +38,8 @@ def test_exit_2_on_a_bad_parameter(capsys):
     assert "does not divide 360" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", ["[1, 2]", '{"pitch": "abc"}', '{"pitch": NaN}'])
+@pytest.mark.parametrize("config", ["[1, 2]", '{"pitch": "abc"}', '{"pitch": NaN}',
+                                    '{"top_k": 2.7}', '{"threads": true}'])
 def test_exit_2_on_a_bad_config_file(tmp_path, capsys, config):
     receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
     (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
@@ -96,6 +97,26 @@ def test_cross_with_atomless_ligand_exits_3_and_names_the_error(tmp_path, capsys
     assert failed["task_id"] == "lock__empty" and failed["attempts"] == 3
     assert failed["error"].startswith("NoAtomsError")
     assert "failed after 3 attempts: lock__empty: NoAtomsError" in capsys.readouterr().err
+
+
+def test_cross_results_do_not_depend_on_the_inner_threads(tmp_path, monkeypatch):
+    # 4 cores over 2 lanes: the default threads resolve to 2 in each lane
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    key = write_pdb(tmp_path, make_structure("key", key_points()))
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n{key}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text(f"{key}\n{receptor}\n", encoding="utf-8")
+    results = []
+    for name, flags in (("default", []), ("one", ["--threads", "1"])):
+        out = tmp_path / name
+        code = cli.main(["cross", str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+                         "--step", "90", "--top-k", "50", "--workers", "2",
+                         "--out-dir", str(out), *flags])
+        assert code == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        results.append([{k: v for k, v in r.items() if k != "wall_time"}
+                        for r in report["results"]])
+    assert len(results[0]) == 4 and results[0] == results[1]
 
 
 def run_cross_in_subprocess(tmp_path, *flags: str) -> subprocess.CompletedProcess:

@@ -1,7 +1,9 @@
 """Dispatch: per-task failures over TCP and in-process, malformed frames on
-either side of a connection, and BatchState bookkeeping under random
-event sequences."""
+either side of a connection, BatchState bookkeeping under random event
+sequences, the lanes' shared thread budget and the report's JSON."""
 
+import json
+import os
 import socket
 import sys
 import threading
@@ -339,3 +341,47 @@ def test_master_run_returns_as_soon_as_the_batch_ends():
         assert set(report.completed) == {"r1__l1"}
         delays.append(returned - sent)
     assert sum(delays) / len(delays) < 0.05, delays
+
+
+@pytest.mark.parametrize("cpus, lanes", [(8, 3), (8, 1), (2, 4)])
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_lanes_share_the_cores(monkeypatch, transport, cpus, lanes):
+    """A threads=0 task in one of ``lanes`` lanes docks on cores // lanes
+    threads, at least 1; an explicit count and a call outside a lane are
+    left alone."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    seen: Counter = Counter()
+    lock = threading.Lock()
+
+    def executor(task):
+        with lock:
+            seen[task.config.resolved_threads()] += 1
+        return sample_result(task.task_id)
+
+    ids = [f"r1__l{i}" for i in range(12)]
+    tasks = make_tasks(ids[:-1]) + [
+        DockingTask(ids[-1], "r1.pdb", "l.pdb", DockConfig(threads=5))]
+    policy = DispatchPolicy(startup_timeout=STARTUP)
+    if transport == "local":
+        master, m = in_thread(local_pool_run, tasks, lanes, policy, executor)
+    else:
+        port = free_port()
+        master, m = in_thread(master_run, tasks, ("127.0.0.1", port), policy)
+        worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=lanes, executor=executor,
+                              backoff_initial=0.01, backoff_cap=0.05, max_retries=500)
+        join(worker)
+    join(master)
+    assert "error" not in m, m
+    assert seen == Counter({max(1, cpus // lanes): len(ids) - 1, 5: 1})
+    assert DockConfig().resolved_threads() == cpus
+
+
+def test_report_json_parses_back_to_its_dict():
+    executor = FaultyExecutor()
+    executor.bad_charged.set()
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    report = local_pool_run(make_tasks(["r1__l1", BAD, "r1__l2"]), 2, policy, executor)
+    assert report.failed == {BAD: 1} and len(report.completed) == 2
+    text = report.to_json()
+    assert json.loads(text) == report.to_json_dict()
+    assert "\n" not in text

@@ -1,5 +1,6 @@
-"""Docking: a golden top-K, thread-count independence, floor pruning of the
-per-rotation candidates, the FFT correlation against its direct oracle,
+"""Docking: a golden top-K, thread-count independence, the array top-K and
+floor pruning of the per-rotation candidates against sorted oracles, config
+parsing, the FFT correlation against its direct oracle,
 dock_pair end to end (the lock-and-key pose, re-scoring by a direct cyclic
 sum), the array-backed Structure API, and the call seams the benchmark's
 tracer patches."""
@@ -25,6 +26,7 @@ from crossdock.docking import (
     place_ligand,
     rotate_structure,
 )
+from crossdock.errors import ParameterError
 from crossdock.grid import LIGAND, RECEPTOR, DockGrid, GridSpec, ScoringParams, assign_grid
 from crossdock.pdb_io import AtomRecord, Structure
 
@@ -117,6 +119,70 @@ def test_floor_pruning_keeps_the_merged_top_k(k):
             assert pruned_offered <= plain_offered
             if k == 40:
                 assert pruned_offered < plain_offered  # the floor dropped candidates
+
+
+def sorted_oracle(candidates, k: int) -> list[tuple]:
+    """The first k sort keys of every (rotation, idx, scores, n) candidate."""
+    return sorted(
+        (-s, ri, *np.unravel_index(i, (n, n, n)))
+        for ri, idx, scores, n in candidates
+        for i, s in zip(idx.tolist(), scores.tolist())
+    )[:k]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 16, 50, 10_000])
+def test_array_top_k_equals_a_sorted_oracle_in_any_merge_order(k):
+    """Every entry of 9 tie-heavy volumes is offered, each rotation's
+    entries in random order and the rotations in three orders. Scores take
+    3 values, so each fold's cut at K lands inside a run of tied scores;
+    k = 10,000 exceeds the 576 candidates, and k = 1 keeps one."""
+    rng = np.random.default_rng([43, k])
+    n = 4
+    candidates = []
+    for ri in range(9):
+        idx = rng.permutation(n**3)
+        candidates.append((ri, idx, rng.integers(-1, 2, size=idx.size).astype(float), n))
+    oracle = sorted_oracle(candidates, k)
+    assert len(oracle) == min(k, 9 * n**3)
+    kth_score = -oracle[-1][0] if len(oracle) == k else -math.inf
+    for order in (range(9), range(8, -1, -1), rng.permutation(9)):
+        top = _TopK(k)
+        floors = []
+        for i in order:
+            top.merge(*candidates[i])
+            floors.append(top.floor)
+        assert [p.sort_key() for p in top.sorted_poses()] == oracle
+        # the floor never falls and never passes the final K-th score
+        assert floors == sorted(floors) and top.floor == kth_score
+
+
+def test_array_top_k_floor_rises_only_with_k_kept_entries():
+    top = _TopK(4)
+    top.merge(0, np.array([5, 1, 2]), np.array([2.0, 2.0, 1.0]), 4)
+    assert top.floor == -math.inf
+    top.merge(1, np.array([0, 3]), np.array([2.0, 0.0]), 4)
+    assert top.floor == 1.0
+    # (1.0, rotation 0) beats the 4th entry (1.0, rotation 2) on its key
+    top.merge(2, np.array([0, 9]), np.array([1.0, 3.0]), 4)
+    assert [p.sort_key() for p in top.sorted_poses()] == [
+        (-3.0, 2, 0, 2, 1), (-2.0, 0, 0, 0, 1), (-2.0, 0, 0, 1, 1), (-2.0, 1, 0, 0, 0)]
+    assert top.floor == 2.0
+
+
+@pytest.mark.parametrize("bad", [{"top_k": 2.7}, {"threads": True}, {"margin_voxels": 1.5},
+                                 {"pitch": False}, {"top_k": math.inf},
+                                 {"params": {**ScoringParams().to_dict(), "ligand_weight": True}},
+                                 {"params": {**ScoringParams().to_dict(),
+                                             "surface_thickness": 1.5}}])
+def test_config_rejects_bools_and_fractions_in_number_fields(bad):
+    with pytest.raises(ParameterError, match=f"config field {next(iter(bad))!r}"):
+        DockConfig.from_dict(bad)
+
+
+def test_config_reads_integral_numbers_as_ints():
+    cfg = DockConfig.from_dict({"top_k": 20.0, "threads": 2, "pitch": 1})
+    assert (cfg.top_k, cfg.threads, cfg.pitch) == (20, 2, 1.0)
+    assert type(cfg.top_k) is int and type(cfg.pitch) is float
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 9, 12])

@@ -100,3 +100,12 @@ def test_rotation_set_properties(step, count):
         assert (2.0 - 2.0 * dots).min() > 4e-12
     [identity] = q[q[:, 0] == 1.0]
     assert identity.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_rotation_set_is_built_once_per_step_and_read_only():
+    q = generate_rotations(30.0)
+    assert generate_rotations(30.0) is q
+    assert generate_rotations(60.0) is not q
+    with pytest.raises(ValueError, match="read-only"):
+        q[0, 0] = 0.5
+    assert q[0].flags.writeable is False
