@@ -96,8 +96,8 @@ class Recommendation:
     other: str
     speed_ratio: float  # time_b / time_a; > 1 means a is faster
     price_ratio: float  # price_a / price_b
-    fee_a: float
-    fee_b: float
+    fee_recommended: float
+    fee_other: float
     tie: bool
 
 
@@ -166,21 +166,19 @@ def compare_instances(
         )
     speed_ratio = run_b.wall_time_s / run_a.wall_time_s
     price_ratio = spec_a.price_usd_per_hour / spec_b.price_usd_per_hour
-    fee_a = total_fee(spec_a, run_a.wall_time_s, run_a.n_instances)
-    fee_b = total_fee(spec_b, run_b.wall_time_s, run_b.n_instances)
     tie = abs(speed_ratio - price_ratio) <= _RATIO_TIE_TOL
     if tie:
-        winner = spec_a.name if spec_a.price_usd_per_hour <= spec_b.price_usd_per_hour else spec_b.name
+        a_wins = spec_a.price_usd_per_hour <= spec_b.price_usd_per_hour
     else:
-        winner = spec_a.name if speed_ratio > price_ratio else spec_b.name
-    other = spec_b.name if winner == spec_a.name else spec_a.name
+        a_wins = speed_ratio > price_ratio
+    (winner, win_run), (other, other_run) = (a, b) if a_wins else (b, a)
     return Recommendation(
-        recommended=winner,
-        other=other,
+        recommended=winner.name,
+        other=other.name,
         speed_ratio=speed_ratio,
         price_ratio=price_ratio,
-        fee_a=fee_a,
-        fee_b=fee_b,
+        fee_recommended=total_fee(winner, win_run.wall_time_s, win_run.n_instances),
+        fee_other=total_fee(other, other_run.wall_time_s, other_run.n_instances),
         tie=tie,
     )
 
@@ -314,8 +312,8 @@ class AnalysisReport:
                     "other": c.other,
                     "speed_ratio": c.speed_ratio,
                     "price_ratio": c.price_ratio,
-                    "fee_recommended_side_a_usd": c.fee_a,
-                    "fee_side_b_usd": c.fee_b,
+                    "fee_recommended_usd": c.fee_recommended,
+                    "fee_other_usd": c.fee_other,
                     "tie": c.tie,
                 }
                 for c in self.comparisons
@@ -340,7 +338,8 @@ def build_report(catalog: dict[str, InstanceSpec], runs: list[RunRecord]) -> Ana
     """Derive every throughput, fee, scaling and comparison figure.
 
     Scaling compares each instance's smallest-count run against every larger
-    one; comparisons pit the fastest instance of each (n_instances, n_pairs)
+    one (a repeated run at the smallest count is no scaling step and is
+    skipped); comparisons pit the fastest instance of each (n_instances, n_pairs)
     group against the others. Unknown instance names are an error.
     """
     for run in runs:
@@ -369,6 +368,8 @@ def build_report(catalog: dict[str, InstanceSpec], runs: list[RunRecord]) -> Ana
         group = sorted(group, key=lambda r: r.n_instances)
         base = group[0]
         for scaled in group[1:]:
+            if scaled.n_instances == base.n_instances:
+                continue
             eff = strong_scaling(base, scaled)
             scalings.append(
                 ScalingEntry(
@@ -433,6 +434,6 @@ def render_report(report: AnalysisReport) -> str:
             )
             out.append(
                 f"recommend {c.recommended} over {c.other}: {how} "
-                f"(fees {c.fee_a:.1f} vs {c.fee_b:.1f} USD)"
+                f"(fees {c.fee_recommended:.1f} vs {c.fee_other:.1f} USD)"
             )
     return "\n".join(out) + "\n"

@@ -3,9 +3,12 @@ results.
 
 All batch-state mutations happen on one event loop fed by connection events,
 so state transitions are atomic per message no matter how many workers are
-connected. Two events charge a task one attempt: a TASK_FAILED for it from
-the connection that holds it, and the loss of that connection (close, send
-error or malformed frame), which charges every task it held. A charged task
+connected. A worker registers with its first REQUEST, which names it. Each
+connection's reader posts "closed" as its last event, exactly once, however
+the connection ends: EOF, a malformed frame, or a failed send, which shuts
+the socket down and so ends the reader. Two events charge a task one
+attempt: a TASK_FAILED for it from the connection that holds it, and the
+"closed" of that connection, which charges every task it held. A charged task
 is requeued at the front of the queue, or recorded as permanently failed
 with its last failure reason once ``max_attempts`` is spent. There is no
 timeout-based straggler reassignment.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..docking import TSV_HEADER, DockingResult
-from ..errors import DispatchError, WireError
+from ..errors import DispatchError
 from . import wire
 from .tasks import DockingTask, execute_task
 from .worker import run_lane
@@ -125,12 +128,12 @@ class BatchState:
         self.total = len(tasks)
         self.max_attempts = max_attempts
         self.pending: deque[DockingTask] = deque(tasks)
-        self.in_flight: dict[str, tuple[DockingTask, object, str, int]] = {}
+        # task_id -> (task, holding connection), in assignment order
+        self.in_flight: dict[str, tuple[DockingTask, object]] = {}
         self.completed: dict[str, DockingResult] = {}
         self.failed_attempts: dict[str, int] = {}
         self.permanently_failed: dict[str, int] = {}
         self.last_error: dict[str, str] = {}
-        self._assign_seq = 0
         self._hook = transition_hook
         self._check(*self.task_order)
 
@@ -166,10 +169,9 @@ class BatchState:
     def all_terminal(self) -> bool:
         return len(self.completed) + len(self.permanently_failed) == self.total
 
-    def assign_next(self, conn: object, worker_id: str) -> DockingTask:
+    def assign_next(self, conn: object) -> DockingTask:
         task = self.pending.popleft()
-        self._assign_seq += 1
-        self.in_flight[task.task_id] = (task, conn, worker_id, self._assign_seq)
+        self.in_flight[task.task_id] = (task, conn)
         self._check(task.task_id)
         return task
 
@@ -211,21 +213,19 @@ class BatchState:
 
     def worker_lost(self, conn: object) -> list[str]:
         """Charge one attempt to every task the lost connection held;
-        returns their ids."""
-        held = sorted(
-            (seq, task)
-            for task, c, _w, seq in self.in_flight.values()
-            if c is conn
-        )
-        for _seq, task in reversed(held):  # appendleft order: earliest assigned first
+        returns their ids in assignment order, which is also the order in
+        which the requeued ones head ``pending``."""
+        held = [task for task, c in self.in_flight.values() if c is conn]
+        for task in reversed(held):  # appendleft order: earliest assigned first
             self._charge(task, "worker lost")
-        self._check(*(task.task_id for _seq, task in held))
-        return [task.task_id for _seq, task in held]
+        self._check(*(task.task_id for task in held))
+        return [task.task_id for task in held]
 
 
 class _MasterCore:
     """Transport-agnostic event loop. Events are ("msg", conn, message) and
-    ("closed", conn); conns expose send(msg)."""
+    ("closed", conn, None), the latter a connection's last event; conns
+    expose send(msg), which never raises."""
 
     def __init__(self, tasks: Sequence[DockingTask], policy: DispatchPolicy,
                  transition_hook=None):
@@ -236,16 +236,8 @@ class _MasterCore:
         self.events: queue.Queue = queue.Queue()
         self.workers: dict[object, str] = {}  # conn -> worker_id
         self.per_worker: dict[str, int] = {}
-        self.parked: deque[tuple[object, str]] = deque()
-        self.dead: set[object] = set()
+        self.parked: deque[object] = deque()  # conns, one per REQUEST
         self._idle_since = time.monotonic()
-
-    def _send(self, conn: object, msg) -> None:
-        try:
-            conn.send(msg)
-        except OSError:
-            if conn not in self.dead:
-                self.events.put(("closed", conn, None))
 
     def _register(self, conn: object, worker_id: str) -> None:
         self.workers[conn] = worker_id
@@ -253,18 +245,14 @@ class _MasterCore:
 
     def _serve_parked(self) -> None:
         while self.parked and self.state.pending:
-            conn, worker_id = self.parked.popleft()
-            if conn in self.dead:
-                continue
-            task = self.state.assign_next(conn, worker_id)
-            # A failed send becomes a closed event, which charges the task.
-            self._send(conn, wire.Assign(task))
+            conn = self.parked.popleft()
+            task = self.state.assign_next(conn)
+            # A failed send ends the connection's reader, whose "closed"
+            # event charges the task.
+            conn.send(wire.Assign(task))
 
     def _handle_closed(self, conn: object) -> None:
-        if conn in self.dead:
-            return
-        self.dead.add(conn)
-        self.parked = deque(p for p in self.parked if p[0] is not conn)
+        self.parked = deque(c for c in self.parked if c is not conn)
         charged = self.state.worker_lost(conn)
         log.info("worker %s lost; charged %d task(s)", self.workers.get(conn), len(charged))
         self.workers.pop(conn, None)
@@ -291,15 +279,10 @@ class _MasterCore:
 
             if kind == "closed":
                 self._handle_closed(conn)
-                continue
-            if conn in self.dead:
-                continue
-            if isinstance(msg, wire.Hello):
-                self._register(conn, msg.worker_id)
             elif isinstance(msg, wire.Request):
                 if conn not in self.workers:
                     self._register(conn, msg.worker_id)
-                self.parked.append((conn, msg.worker_id))
+                self.parked.append(conn)
                 self._serve_parked()
             elif isinstance(msg, wire.Result):
                 if self.state.record_result(msg.task_id, msg.result):
@@ -315,8 +298,8 @@ class _MasterCore:
             else:
                 log.warning("ignoring unexpected message %r", msg)
 
-        for conn in list(self.workers):
-            self._send(conn, wire.Shutdown())
+        for conn in self.workers:
+            conn.send(wire.Shutdown())
         return BatchReport(
             task_order=self.state.task_order,
             completed=dict(self.state.completed),
@@ -327,36 +310,10 @@ class _MasterCore:
         )
 
 
-class _TcpConn:
-    """One accepted worker connection; sends are serialized by a lock."""
-
-    def __init__(self, sock: socket.socket, peer: str):
-        self.sock = sock
-        self.peer = peer
-        self._lock = threading.Lock()
-
-    def send(self, msg) -> None:
-        with self._lock:
-            wire.send_message(self.sock, msg)
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def _reader(conn: _TcpConn, events: queue.Queue) -> None:
+def _reader(conn: wire.Channel, events: queue.Queue) -> None:
     try:
-        while True:
-            msg = wire.recv_message(conn.sock)
-            if msg is None:
-                break
+        for msg in conn.messages():
             events.put(("msg", conn, msg))
-    except WireError as exc:
-        log.warning("dropping connection %s: %s", conn.peer, exc)
-    except OSError:
-        pass
     finally:
         events.put(("closed", conn, None))
 
@@ -367,7 +324,8 @@ def master_run(
     policy: DispatchPolicy | None = None,
     transition_hook=None,
 ) -> BatchReport:
-    """Serve a batch to TCP workers; returns when every task is terminal.
+    """Serve a batch to TCP workers; returns when every task is terminal,
+    once every connection is shut down and its reader has ended.
 
     Raises DispatchError when the endpoint cannot be bound or no worker
     connects within ``policy.startup_timeout``.
@@ -379,7 +337,7 @@ def master_run(
     except OSError as exc:
         raise DispatchError(f"cannot bind {listen[0]}:{listen[1]}: {exc}") from exc
 
-    conns: list[_TcpConn] = []
+    readers: list[tuple[wire.Channel, threading.Thread]] = []
 
     def acceptor() -> None:
         while True:
@@ -387,9 +345,10 @@ def master_run(
                 sock, addr = server.accept()
             except OSError:  # the server socket was shut down
                 break
-            conn = _TcpConn(sock, f"{addr[0]}:{addr[1]}")
-            conns.append(conn)
-            threading.Thread(target=_reader, args=(conn, core.events), daemon=True).start()
+            conn = wire.Channel(sock, f"{addr[0]}:{addr[1]}")
+            reader = threading.Thread(target=_reader, args=(conn, core.events), daemon=True)
+            readers.append((conn, reader))
+            reader.start()
 
     accept_thread = threading.Thread(target=acceptor, daemon=True)
     accept_thread.start()
@@ -400,8 +359,10 @@ def master_run(
         server.shutdown(socket.SHUT_RDWR)
         server.close()
         accept_thread.join(timeout=5)
-        for conn in conns:
-            conn.close()
+        for conn, reader in readers:
+            conn.shutdown()  # wakes the reader if blocked in recv; close does not
+            reader.join(timeout=5)
+            conn.sock.close()
     return report
 
 

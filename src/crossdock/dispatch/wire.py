@@ -1,18 +1,27 @@
 """Length-prefixed JSON wire protocol for master-worker dispatch.
 
 Framing: a 4-byte big-endian unsigned payload length, then the UTF-8 JSON
-payload. Every message is an object with a "type" field from {HELLO,
-REQUEST, ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 1. TASK_FAILED
-names a task whose executor raised and carries the error text. A malformed
-payload, whatever its bytes, raises WireError and nothing else.
+payload. Every message is an object with a "type" field from {REQUEST,
+ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 1. There is no handshake:
+a worker's first REQUEST, which names it, registers it with the master.
+TASK_FAILED names a task whose executor raised and carries the error text.
+A malformed payload, whatever its bytes, raises WireError and nothing else.
+
+Channel is one end of a connection, the same class on the master and the
+worker: locked sends and a frame reader that ends at EOF, on a malformed
+frame (a HELLO from a worker that predates this protocol is one) or once a
+failed send has shut the socket down.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import struct
+import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..docking import DockingResult
 from ..errors import WireError
@@ -21,7 +30,6 @@ from .tasks import DockingTask
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "Hello",
     "Request",
     "Assign",
     "Result",
@@ -32,18 +40,15 @@ __all__ = [
     "decode_message",
     "send_message",
     "recv_message",
+    "Channel",
 ]
+
+log = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # sanity bound against corrupt prefixes
 
 _LEN = struct.Struct(">I")
-
-
-@dataclass(frozen=True)
-class Hello:
-    worker_id: str
-    slots: int
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,10 @@ class Shutdown:
     pass
 
 
-Message = Hello | Request | Assign | Result | TaskFailed | Shutdown
+Message = Request | Assign | Result | TaskFailed | Shutdown
 
 
 def _payload(msg: Message) -> dict:
-    if isinstance(msg, Hello):
-        return {"type": "HELLO", "worker_id": msg.worker_id, "slots": msg.slots}
     if isinstance(msg, Request):
         return {"type": "REQUEST", "worker_id": msg.worker_id}
     if isinstance(msg, Assign):
@@ -108,8 +111,6 @@ def decode_message(payload: bytes) -> Message:
         if version != PROTOCOL_VERSION:
             raise WireError(f"unsupported protocol version {version!r}")
         kind = body.get("type")
-        if kind == "HELLO":
-            return Hello(worker_id=str(body["worker_id"]), slots=int(body["slots"]))
         if kind == "REQUEST":
             return Request(worker_id=str(body["worker_id"]))
         if kind == "ASSIGN":
@@ -160,3 +161,43 @@ def recv_message(sock: socket.socket) -> Message | None:
     if len(payload) < length:
         raise WireError("connection closed mid-frame")
     return decode_message(payload)
+
+
+class Channel:
+    """One end of a framed connection; ``peer`` names the other end in logs."""
+
+    def __init__(self, sock: socket.socket, peer: str):
+        self.sock = sock
+        self.peer = peer
+        self._lock = threading.Lock()
+
+    def send(self, msg: Message) -> bool:
+        """Send one frame; False, with the socket shut down, once the
+        connection is gone."""
+        try:
+            with self._lock:
+                send_message(self.sock, msg)
+            return True
+        except OSError:
+            self.shutdown()  # ends messages(), so the reader sees the loss
+            return False
+
+    def messages(self) -> Iterator[Message]:
+        """Frames until EOF, a socket error or a malformed frame, which is
+        logged and shuts the connection down so that the peer sees it end."""
+        try:
+            while (msg := recv_message(self.sock)) is not None:
+                yield msg
+        except WireError as exc:
+            log.warning("dropping connection %s: %s", self.peer, exc)
+            self.shutdown()
+        except OSError:
+            pass
+
+    def shutdown(self) -> None:
+        """Wake a blocked reader and end the connection; close() alone does
+        not wake a recv blocked in another thread."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass

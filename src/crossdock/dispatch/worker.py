@@ -2,12 +2,14 @@
 
 A lane (run_lane) loops REQUEST -> ASSIGN -> execute -> RESULT, or
 TASK_FAILED when the executor raises, and keeps serving either way.
-worker_loop runs ``slots`` lanes over one connection, whose reader thread
+worker_loop runs ``slots`` lanes over one wire.Channel; the lanes' first
+REQUESTs register the worker with the master. The channel's reader thread
 feeds the ASSIGN replies (interchangeable between lanes) into a shared
-queue; SHUTDOWN, EOF or a malformed frame stops every lane. local_pool_run
-runs the same lanes over in-memory connections. Either way the lanes of
-one process share its cores: in a lane, a threads=0 task docks on the
-logical cores divided by the lane count (docking.thread_budget).
+queue; SHUTDOWN, EOF, a malformed frame or a failed send stops every lane.
+local_pool_run runs the same lanes over in-memory connections. Either way
+the lanes of one process share its cores: in a lane, a threads=0 task
+docks on the logical cores divided by the lane count
+(docking.thread_budget).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 from typing import Callable
 
 from ..docking import DockingResult, thread_budget
-from ..errors import DispatchError, WireError
+from ..errors import DispatchError
 from . import wire
 from .tasks import DockingTask, execute_task
 
@@ -92,13 +94,6 @@ def run_lane(
     return delivered
 
 
-def _shutdown(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-
-
 def worker_loop(
     connect: tuple[str, int],
     slots: int = 4,
@@ -111,51 +106,36 @@ def worker_loop(
     """Serve tasks from the master at ``connect`` until the batch drains.
 
     Returns the number of results this worker delivered; a failing task
-    costs only itself. Raises DispatchError when the master stays
-    unreachable after the retry budget (1 s backoff doubling to the 30 s
-    cap by default).
+    costs only itself, and a lost connection ends the lanes with the count
+    so far (0 when it is lost before the first task). Raises DispatchError
+    when the master stays unreachable after the retry budget (1 s backoff
+    doubling to the 30 s cap by default).
     """
     if slots < 1:
         raise DispatchError(f"slots must be >= 1, got {slots}")
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    sock = _connect_with_backoff(connect, backoff_initial, backoff_cap, max_retries)
-
-    send_lock = threading.Lock()
+    channel = wire.Channel(
+        _connect_with_backoff(connect, backoff_initial, backoff_cap, max_retries),
+        f"{connect[0]}:{connect[1]}",
+    )
     responses: queue.Queue = queue.Queue()
-
-    def send(msg) -> bool:
-        try:
-            with send_lock:
-                wire.send_message(sock, msg)
-            return True
-        except OSError:
-            _shutdown(sock)  # ends the reader, which stops every lane
-            return False
 
     def reader() -> None:
         try:
-            while True:
-                msg = wire.recv_message(sock)
-                if msg is None or isinstance(msg, wire.Shutdown):
+            for msg in channel.messages():
+                if isinstance(msg, wire.Shutdown):
                     break
                 responses.put(msg)
-        except WireError as exc:
-            log.warning("dropping the master connection: %s", exc)
-        except OSError:
-            pass
         finally:
             for _ in range(slots):
                 responses.put(None)
 
-    if not send(wire.Hello(worker_id, slots)):
-        sock.close()
-        raise DispatchError("master connection lost during handshake")
     reader_thread = threading.Thread(target=reader, daemon=True)
     reader_thread.start()
     delivered = [0] * slots
 
     def lane(index: int) -> None:
-        delivered[index] = run_lane(send, responses.get, executor, worker_id, slots)
+        delivered[index] = run_lane(channel.send, responses.get, executor, worker_id, slots)
 
     lanes = [threading.Thread(target=lane, args=(i,), daemon=True) for i in range(slots)]
     for t in lanes:
@@ -164,9 +144,9 @@ def worker_loop(
         for t in lanes:
             t.join()
     finally:
-        _shutdown(sock)
-        sock.close()
+        channel.shutdown()
         reader_thread.join(timeout=5)
+        channel.sock.close()
 
     completed = sum(delivered)
     log.info("worker %s done: %d task(s) completed", worker_id, completed)

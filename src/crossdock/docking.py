@@ -470,13 +470,13 @@ def place_ligand(
     coordinates are folded cyclically into the grid box. ``ligand`` must be
     the structure that was passed to dock_pair. The rotation is row
     ``pose.rotation_index`` of the (N, 4) quaternion array
-    generate_rotations(result.angular_step).
+    generate_rotations(result.angular_step), applied by rotate_structure as
+    in dock_pair.
     """
     spec = result.grid_spec
     q = generate_rotations(result.angular_step)[pose.rotation_index]
-    center = spec.center()
-    coords = _centered_coords(ligand, spec)
-    coords = (coords - center) @ _matrix(q).T + center
+    centered = ligand.with_coords(_centered_coords(ligand, spec))
+    coords = rotate_structure(centered, q, spec.center()).coords()
     coords = coords - np.array([pose.tx, pose.ty, pose.tz]) * spec.pitch
     if wrap:
         box_lo = np.asarray(spec.origin) - spec.pitch / 2.0

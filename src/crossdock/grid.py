@@ -159,7 +159,6 @@ class DockGrid:
 
     spec: GridSpec
     voxels: np.ndarray
-    role: str
 
 
 def choose_grid_size(
@@ -277,4 +276,4 @@ def assign_grid(
             )
             voxels[dilated & ~core] = params.surface_weight
         voxels[core] = params.receptor_core_weight
-    return DockGrid(spec=spec, voxels=voxels, role=role)
+    return DockGrid(spec=spec, voxels=voxels)

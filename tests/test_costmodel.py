@@ -39,7 +39,7 @@ def test_bundled_tables_give_the_paper_figures():
     assert round(report.scaling_for("NC24", 5, 20).strong_scaling, 3) == 0.890
     assert round(report.scaling_for("H16", 50, 100).strong_scaling, 3) == 0.931
     # H16 wins every comparison, at 50 (fee 37.1 USD) and at 100 instances
-    assert sorted((c.recommended, c.other, round(c.fee_a, 1)) for c in report.comparisons) == [
+    assert sorted((c.recommended, c.other, round(c.fee_recommended, 1)) for c in report.comparisons) == [
         ("H16", other, fee) for other in ("A9", "DS14", "H16r") for fee in (37.1, 39.9)
     ]
     assert round(costmodel.total_fee(catalog["H16"], 1527.0, 50), 1) == 37.1
@@ -68,7 +68,7 @@ def test_compare_instances_weighs_speed_against_price_and_ties_go_cheaper():
     rec = costmodel.compare_instances((fast, RunRecord("fast", 2, 1800.0, 10)),
                                       (cheap, RunRecord("cheap", 2, 7200.0, 10)))
     assert (rec.recommended, rec.other, rec.tie) == ("fast", "cheap", False)
-    assert (rec.speed_ratio, rec.price_ratio, rec.fee_a, rec.fee_b) == (4.0, 3.0, 3.0, 4.0)
+    assert (rec.speed_ratio, rec.price_ratio, rec.fee_recommended, rec.fee_other) == (4.0, 3.0, 3.0, 4.0)
     # 2x faster at exactly 2x the price: a tie, which the cheaper side wins
     pricey = spec("pricey", 2.0)
     a = (pricey, RunRecord("pricey", 2, 1800.0, 10))
@@ -79,3 +79,28 @@ def test_compare_instances_weighs_speed_against_price_and_ties_go_cheaper():
         assert rec.speed_ratio == rec.price_ratio
     with pytest.raises(ComparisonError):
         costmodel.compare_instances(a, (cheap, RunRecord("cheap", 3, 3600.0, 10)))
+
+
+def test_fees_follow_the_recommendation_when_the_cheaper_instance_wins():
+    """1.5x faster at 10x the price: the slower, cheaper instance wins, and
+    the first fee in the table and the JSON is its own."""
+    catalog = {"FAST": spec("FAST", 10.0), "CHEAP": spec("CHEAP", 1.0)}
+    runs = [RunRecord("FAST", 10, 100.0, 50), RunRecord("CHEAP", 10, 150.0, 50)]
+    report = costmodel.build_report(catalog, runs)
+    (rec,) = report.comparisons
+    assert (rec.recommended, rec.other, rec.tie) == ("CHEAP", "FAST", False)
+    assert rec.fee_recommended == costmodel.total_fee(catalog["CHEAP"], 150.0, 10)
+    assert rec.fee_other == costmodel.total_fee(catalog["FAST"], 100.0, 10)
+    assert "recommend CHEAP over FAST" in costmodel.render_report(report)
+    assert "(fees 0.4 vs 2.8 USD)" in costmodel.render_report(report)
+    (entry,) = report.to_json_dict()["comparisons"]
+    assert (entry["fee_recommended_usd"], entry["fee_other_usd"]) == (rec.fee_recommended,
+                                                                      rec.fee_other)
+
+
+def test_a_repeated_run_at_the_smallest_count_is_no_scaling_step():
+    runs = [RunRecord("H16", 50, 1527.0, 3481), RunRecord("H16", 50, 1530.0, 3481),
+            RunRecord("H16", 100, 820.0, 3481)]
+    report = costmodel.build_report(costmodel.load_catalog(), runs)
+    assert [(s.base.n_instances, s.scaled.n_instances) for s in report.scalings] == [(50, 100)]
+    assert report.scaling_for("H16", 50, 100).speedup == 1527.0 / 820.0

@@ -1,7 +1,9 @@
 """Dispatch: per-task failures over TCP and in-process, malformed frames on
 either side of a connection, BatchState bookkeeping under random event
-sequences, the lanes' shared thread budget and the report's JSON."""
+sequences, the lanes' shared thread budget, the report's JSON, and no
+thread left running once a test ends."""
 
+import itertools
 import json
 import os
 import socket
@@ -84,6 +86,23 @@ def connect(port: int) -> socket.socket:
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(len(payload).to_bytes(4, "big") + payload)
+
+
+def threads_alive_after(before: set, within: float = 5.0) -> list[str]:
+    """Names of the threads started since ``before`` that are still alive
+    ``within`` seconds from now."""
+    deadline = time.monotonic() + within
+    started = set(threading.enumerate()) - before
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return sorted(t.name for t in started if t.is_alive())
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    before = set(threading.enumerate())
+    yield
+    assert threads_alive_after(before) == []
 
 
 class FaultyExecutor:
@@ -173,16 +192,34 @@ def test_malformed_frame_from_the_master_ends_the_worker():
                               executor=sample_result, worker_id="w1")
         conn, _ = server.accept()
         with conn:
-            assert wire.recv_message(conn) == wire.Hello("w1", 2)
+            assert wire.recv_message(conn) == wire.Request("w1")
             send_frame(conn, DEEP_FRAME)
             join(worker, STARTUP)
     assert w == {"value": 0}
 
 
+def test_a_hello_from_an_older_worker_drops_its_connection():
+    """HELLO is no longer a message type: the master ends that connection at
+    once and serves the batch to a current worker."""
+    port = free_port()
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
+    with connect(port) as old:
+        send_frame(old, b'{"v":1,"type":"HELLO","worker_id":"old","slots":1}')
+        old.settimeout(STARTUP)
+        assert old.recv(1) == b""
+    worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=1,
+                          executor=lambda task: sample_result(task.task_id), worker_id="new")
+    join(worker)
+    join(master)
+    assert w == {"value": 1}
+    assert "error" not in m and m["value"].per_worker == {"new": 1}, m
+
+
 def test_stale_task_failure_is_discarded_and_charges_nothing():
     state = BatchState(make_tasks(["r1__l1"]), max_attempts=2)
     holder, other = object(), object()
-    state.assign_next(holder, "w1")
+    state.assign_next(holder)
     assert not state.task_failed(other, "r1__l1", "boom")
     assert not state.task_failed(holder, "r1__nope", "boom")
     assert state.failed_attempts == {} and set(state.in_flight) == {"r1__l1"}
@@ -205,6 +242,8 @@ class BatchStateMachine(RuleBasedStateMachine):
         self.conns = {name: object() for name in self.CONNS}
         self.state = BatchState(make_tasks(self.ids), max_attempts)
         self.charges: Counter = Counter()
+        self.assignments = itertools.count()
+        self.assigned_at: dict[str, int] = {}  # task id -> number of its last assignment
 
     def snapshot(self):
         s = self.state
@@ -218,8 +257,9 @@ class BatchStateMachine(RuleBasedStateMachine):
     @rule(conn=st.sampled_from(CONNS))
     def assign(self, conn):
         expected = self.state.pending[0].task_id
-        task = self.state.assign_next(self.conns[conn], conn)
+        task = self.state.assign_next(self.conns[conn])
         assert task.task_id == expected and self.holder(expected) is self.conns[conn]
+        self.assigned_at[expected] = next(self.assignments)
 
     @rule(data=st.data())
     def record_result(self, data):
@@ -246,12 +286,16 @@ class BatchStateMachine(RuleBasedStateMachine):
 
     @rule(conn=st.sampled_from(CONNS))
     def worker_lost(self, conn):
-        held = {tid for tid, entry in self.state.in_flight.items()
-                if entry[1] is self.conns[conn]}
-        assert set(self.state.worker_lost(self.conns[conn])) == held
+        """Every task the connection held is charged; the ones requeued head
+        pending, earliest assigned first."""
+        held = sorted((tid for tid, entry in self.state.in_flight.items()
+                       if entry[1] is self.conns[conn]), key=self.assigned_at.__getitem__)
+        assert self.state.worker_lost(self.conns[conn]) == held
         for tid in held:
             self.charges[tid] += 1
             assert self.state.last_error[tid] == "worker lost"
+        requeued = [tid for tid in held if tid not in self.state.permanently_failed]
+        assert [t.task_id for t in self.state.pending][:len(requeued)] == requeued
 
     @invariant()
     def states_partition_the_batch(self):
@@ -313,6 +357,36 @@ def test_many_lanes_with_retried_tasks_under_fast_thread_switching(transport):
     assert set(report.completed) == set(ids) and report.failed == {} and report.errors == {}
     assert calls == Counter({tid: 2 if tid in flaky else 1 for tid in ids})
     assert sum(report.per_worker.values()) == len(ids)
+
+
+def test_master_run_ends_its_readers_while_a_worker_stays_connected():
+    """A peer that stays connected after SHUTDOWN leaves no thread of
+    master_run blocked in recv."""
+    before = set(threading.enumerate())
+    port = free_port()
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
+    with connect(port) as sock:
+        wire.send_message(sock, wire.Request("peer"))
+        assign = wire.recv_message(sock)
+        wire.send_message(sock, wire.Result(assign.task.task_id,
+                                            sample_result(assign.task.task_id)))
+        assert isinstance(wire.recv_message(sock), wire.Shutdown)
+        join(master, STARTUP)
+        assert threads_alive_after(before) == []
+    assert "error" not in m, m
+    assert set(m["value"].completed) == {"r1__l1"}
+
+
+def test_worker_loop_returns_0_when_the_master_closes_at_once():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=2,
+                              executor=sample_result, worker_id="w1")
+        conn, _ = server.accept()
+        conn.close()
+        join(worker, STARTUP)
+    assert w == {"value": 0}
 
 
 def timed_master_run(port: int, policy: DispatchPolicy):

@@ -197,7 +197,7 @@ def test_fft_correlate_matches_direct_oracle(n):
     rasterized = (assign_grid(random_structure(rng, "r", 6, *inside), spec, RECEPTOR, params).voxels,
                   assign_grid(random_structure(rng, "l", 3, *inside), spec, LIGAND, params).voxels)
     for rec, lig in (random_pair, rasterized):
-        r, g = DockGrid(spec, rec, RECEPTOR), DockGrid(spec, lig, LIGAND)
+        r, g = DockGrid(spec, rec), DockGrid(spec, lig)
         want = direct_correlate(r, g)
         atol = 1e-12 * n**3 * np.abs(rec).max() * max(np.abs(lig).max(), 1.0)
         np.testing.assert_allclose(fft_correlate(r, g), want, rtol=0, atol=atol)

@@ -19,7 +19,6 @@ from conftest import sample_result
 
 TASK = DockingTask("r1__l1", "r1.pdb", "l1.pdb", DockConfig(angular_step=90.0, top_k=5))
 MESSAGES = [
-    wire.Hello("w-1", 4),
     wire.Request("w-1"),
     wire.Assign(TASK),
     wire.Result("r1__l1", sample_result()),
@@ -72,7 +71,7 @@ def _decodes_or_wire_error(payload: bytes) -> None:
         msg = wire.decode_message(payload)
     except WireError:
         return
-    assert isinstance(msg, (wire.Hello, wire.Request, wire.Assign, wire.Result,
+    assert isinstance(msg, (wire.Request, wire.Assign, wire.Result,
                             wire.TaskFailed, wire.Shutdown))
 
 
@@ -80,8 +79,9 @@ def _decodes_or_wire_error(payload: bytes) -> None:
     b"[" * 100000 + b"]" * 100000,  # deeper than the JSON decoder recurses
     b'{"v":1,"type":"ASSIGN","task":{"task_id":"t","receptor_path":"r",'
     b'"ligand_path":"l","config":[]}}',  # config is a list, not an object
-    b'{"v":1,"type":"HELLO","worker_id":"w","slots":1e400}',  # int(inf)
-    b'{"v":1,"type":"HELLO","worker_id":"w","slots":' + b"9" * 5000 + b"}",  # digit limit
+    b'{"v":1,"type":"RESULT","task_id":"t","result":{"task_id":"t","receptor_id":"r",'
+    b'"ligand_id":"l","grid":{"n":1e400,"pitch":1,"origin":[0,0,0]}}}',  # int(inf)
+    b'{"v":1,"type":"REQUEST","worker_id":' + b"9" * 5000 + b"}",  # digit limit
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
     with pytest.raises(WireError):
