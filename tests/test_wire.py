@@ -82,6 +82,7 @@ def _decodes_or_wire_error(payload: bytes) -> None:
     b'{"v":1,"type":"RESULT","task_id":"t","result":{"task_id":"t","receptor_id":"r",'
     b'"ligand_id":"l","grid":{"n":1e400,"pitch":1,"origin":[0,0,0]}}}',  # int(inf)
     b'{"v":1,"type":"REQUEST","worker_id":' + b"9" * 5000 + b"}",  # digit limit
+    b'{"v":1,"type":"HELLO","worker_id":"w","slots":1}',  # HELLO is no longer a message type
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
     with pytest.raises(WireError):
