@@ -340,7 +340,9 @@ def build_report(catalog: dict[str, InstanceSpec], runs: list[RunRecord]) -> Ana
     Scaling compares each instance's smallest-count run against every larger
     one (a repeated run at the smallest count is no scaling step and is
     skipped); comparisons pit the fastest instance of each (n_instances, n_pairs)
-    group against the others. Unknown instance names are an error.
+    group against the others, each instance by its fastest run there, so
+    repeated runs of one instance are never compared with each other.
+    Unknown instance names are an error.
     """
     for run in runs:
         if run.instance_name not in catalog:
@@ -387,11 +389,11 @@ def build_report(catalog: dict[str, InstanceSpec], runs: list[RunRecord]) -> Ana
         by_shape.setdefault((run.n_instances, run.n_pairs), []).append(run)
     comparisons = []
     for _shape, group in sorted(by_shape.items()):
-        if len(group) < 2:
-            continue
-        group = sorted(group, key=lambda r: (r.wall_time_s, r.instance_name))
-        fastest = group[0]
-        for other in group[1:]:
+        fastest_of: dict[str, RunRecord] = {}
+        for run in sorted(group, key=lambda r: (r.wall_time_s, r.instance_name)):
+            fastest_of.setdefault(run.instance_name, run)
+        fastest, *others = fastest_of.values()
+        for other in others:
             comparisons.append(
                 compare_instances(
                     (catalog[fastest.instance_name], fastest),

@@ -9,6 +9,15 @@ makes results independent of thread scheduling.
 
 ``direct_correlate`` is the brute-force oracle for the FFT path: a literal
 translation scan with cyclic indexing and no transforms. Keep it that way.
+
+The transforms are scipy.fft's pocketfft, the same library NumPy vendors,
+called so that the results equal np.fft.fftn/ifftn bit for bit: scipy runs
+each axis pass as one vectorized call where NumPy loops over the axes in
+Python. NumPy transforms the last axis first, hence ``axes=(2, 1, 0)``; its
+ifftn scales by 1/n on every pass, hence three one-axis inverse calls where
+one scipy.fft.ifftn would scale once by 1/n^3 and round differently. The
+top-K breaks ties between equal scores on the last bits of these
+transforms, so a change here that is not bit-identical moves it.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridMismatchError, NoAtomsError, ParameterError
 from .grid import (
@@ -55,12 +65,12 @@ __all__ = [
 _ZERO_SNAP = 1e-12
 
 
-@functools.cache
 def generate_rotations(angular_step: float) -> np.ndarray:
     """The rotation set for one angular step: an (N, 4) float64 array of
     unit quaternions (w, x, y, z), one row per rotation. A pose's
     ``rotation_index`` is a row of this array. The set is built once per
-    step and shared: every call returns the same read-only array.
+    step value and shared: every call returns the same read-only array,
+    for an int step as for the equal float.
 
     The rows come from the uniform z-y-z Euler grid: alpha and gamma run
     over [0, 360) and beta over [0, 180] in ``angular_step`` steps. Each
@@ -76,6 +86,11 @@ def generate_rotations(angular_step: float) -> np.ndarray:
     rotation; at the usual steps (the tests check 15 to 90 degrees) no two
     kept rows lie within 1e-6 of each other (max-norm).
     """
+    return _rotation_set(float(angular_step))
+
+
+@functools.cache
+def _rotation_set(angular_step: float) -> np.ndarray:
     if not (0.0 < angular_step <= 120.0):
         raise ParameterError(f"angular step must be in (0, 120], got {angular_step}")
     turns = 360.0 / angular_step
@@ -151,21 +166,29 @@ def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
 
 
 def _receptor_spectrum(receptor_voxels: np.ndarray) -> np.ndarray:
-    """conj(FFT(R)): the receptor half of the correlation, computed once."""
-    return np.conj(np.fft.fftn(receptor_voxels))
+    """conj(FFT(R)): the receptor half of the correlation, computed once.
+    Equal bit for bit to np.conj(np.fft.fftn(R)); see the module docstring."""
+    return np.conj(scipy.fft.fftn(receptor_voxels, axes=(2, 1, 0)))
 
 
 def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarray:
-    """Correlation volume of one ligand grid against _receptor_spectrum.
+    """Correlation volume of one ligand grid against _receptor_spectrum,
+    equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
+    np.fft.fftn(L))).
 
     Each pool thread holds these n^3 buffers at once, so the ligand grid is
     dropped before the inverse transform; pass it as a temporary for that
-    to free it. The product stays out of place and in this operand order:
-    in place or swapped, it can round differently.
+    to free it. The forward transform leaves the ligand grid as it is (it
+    may be a caller's DockGrid.voxels); only the product, which this
+    function owns, is transformed in place. The product stays out of place
+    and in this operand order: in place or swapped, it can round
+    differently.
     """
-    spectrum = rec_hat_conj * np.fft.fftn(ligand_voxels)
+    spectrum = rec_hat_conj * scipy.fft.fftn(ligand_voxels, axes=(2, 1, 0))
     del ligand_voxels
-    return np.real(np.fft.ifftn(spectrum))
+    for axis in (2, 1, 0):
+        spectrum = scipy.fft.ifft(spectrum, axis=axis, overwrite_x=True)
+    return np.real(spectrum)
 
 
 def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:

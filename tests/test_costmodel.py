@@ -104,3 +104,21 @@ def test_a_repeated_run_at_the_smallest_count_is_no_scaling_step():
     report = costmodel.build_report(costmodel.load_catalog(), runs)
     assert [(s.base.n_instances, s.scaled.n_instances) for s in report.scalings] == [(50, 100)]
     assert report.scaling_for("H16", 50, 100).speedup == 1527.0 / 820.0
+
+
+def test_repeated_runs_of_one_instance_are_compared_by_their_fastest_run():
+    catalog = costmodel.load_catalog()
+    one_instance = [RunRecord("H16", 50, 1527.0, 3481), RunRecord("H16", 50, 1530.0, 3481),
+                    RunRecord("H16", 100, 820.0, 3481)]
+    report = costmodel.build_report(catalog, one_instance)
+    assert report.comparisons == ()
+    assert "Instance comparisons" not in costmodel.render_report(report)
+    runs = [RunRecord("A9", 50, 2300.0, 3481), RunRecord("H16", 50, 1530.0, 3481),
+            RunRecord("A9", 50, 2369.0, 3481), RunRecord("H16", 50, 1527.0, 3481)]
+    report = costmodel.build_report(catalog, runs)
+    (rec,) = report.comparisons
+    assert (rec.recommended, rec.other, rec.speed_ratio) == ("H16", "A9", 2300.0 / 1527.0)
+    assert rec.fee_other == costmodel.total_fee(catalog["A9"], 2300.0, 50)
+    assert costmodel.render_report(report).endswith("Instance comparisons (speed ratio vs price ratio)\n"
+                          "recommend H16 over A9: speed ratio 1.51 vs price ratio 0.91 "
+                          "(fees 37.1 vs 61.7 USD)\n")

@@ -1,6 +1,7 @@
 """Docking: a golden top-K, thread-count independence, the array top-K and
 floor pruning of the per-rotation candidates against sorted oracles, config
-parsing, the FFT correlation against its direct oracle,
+parsing, the FFT correlation against its direct oracle and bit for bit
+against the NumPy transforms,
 dock_pair end to end (the lock-and-key pose, re-scoring by a direct cyclic
 sum), the array-backed Structure API, and the call seams the benchmark's
 tracer patches."""
@@ -12,6 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from crossdock import docking
 from crossdock.docking import (
@@ -203,6 +205,45 @@ def test_fft_correlate_matches_direct_oracle(n):
         np.testing.assert_allclose(fft_correlate(r, g), want, rtol=0, atol=atol)
 
 
+def numpy_correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarray:
+    """The oracle for _correlate: the same correlation through np.fft, whose
+    bits _correlate must keep."""
+    return np.real(np.fft.ifftn(rec_hat_conj * np.fft.fftn(ligand_voxels)))
+
+
+def five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 65) if five_smooth(n)])
+def test_correlation_is_bit_identical_to_the_numpy_transforms(n):
+    """Receptor spectrum and correlation volume equal the NumPy oracle byte
+    for byte, on grids of the scoring weights (+1 surface, -15 core). A
+    single 1/n^3-scaled inverse instead of one 1/n pass per axis fails
+    here at every n that is not a power of two."""
+    rng = np.random.default_rng([59, n])
+    receptor = rng.choice([0.0, 1.0, -15.0], size=(n, n, n)) + 0j
+    ligand = rng.choice([0.0, 1.0], size=(n, n, n)) + 0j
+    want = np.conj(np.fft.fftn(receptor))
+    assert docking._receptor_spectrum(receptor).tobytes() == want.tobytes()
+    got = docking._correlate(want, ligand)
+    assert got.tobytes() == numpy_correlate(want, ligand).tobytes()
+
+
+def test_fft_correlate_leaves_its_input_grids_unchanged():
+    rng = np.random.default_rng(61)
+    n = 12
+    spec = GridSpec(n=n, pitch=1.0, origin=(0.0, 0.0, 0.0))
+    receptor = DockGrid(spec, rng.choice([0.0, 1.0, -15.0], size=(n, n, n)) + 0j)
+    ligand = DockGrid(spec, rng.choice([0.0, 1.0], size=(n, n, n)) + 0j)
+    before = receptor.voxels.tobytes(), ligand.voxels.tobytes()
+    fft_correlate(receptor, ligand)
+    assert (receptor.voxels.tobytes(), ligand.voxels.tobytes()) == before
+
+
 def test_dock_pair_recovers_the_lock_and_key_pose(lock_structure, key_input, key_docked):
     result = dock_pair(lock_structure, key_input, DockConfig(angular_step=90.0, threads=1))
     best, runner_up = result.top_poses[:2]
@@ -284,8 +325,10 @@ class TestStructureArrays:
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_pair):
-    """The benchmark's tracer patches these module attributes and divides
-    by the ligand assign_grid count; dock_pair must keep calling them."""
+    """A tracer patches these module attributes and divides by the ligand
+    assign_grid count; dock_pair must keep calling them. The transforms are
+    scipy.fft.fftn (one per rotation plus the receptor's) and
+    scipy.fft.ifft (one per axis per rotation); NumPy's are not called."""
     rec, lig = blob_pair
     rotations = len(generate_rotations(90.0))
     counts: Counter = Counter()
@@ -302,7 +345,10 @@ def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_p
                         counting(docking.assign_grid, lambda s, spec, role, *_: role))
     monkeypatch.setattr(docking, "rotate_structure",
                         counting(docking.rotate_structure, lambda *a: "rotate"))
-    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, lambda *a, **k: "fftn"))
+    monkeypatch.setattr(scipy.fft, "fftn", counting(scipy.fft.fftn, lambda *a, **k: "fftn"))
+    monkeypatch.setattr(scipy.fft, "ifft", counting(scipy.fft.ifft, lambda *a, **k: "ifft"))
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, lambda *a, **k: "np.fft.fftn"))
+    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, lambda *a, **k: "np.fft.ifftn"))
     dock_pair(rec, lig, DockConfig(angular_step=90.0, top_k=10, threads=threads))
     assert counts == Counter({LIGAND: rotations, RECEPTOR: 1, "rotate": rotations,
-                              "fftn": rotations + 1})
+                              "fftn": rotations + 1, "ifft": 3 * rotations})

@@ -109,3 +109,9 @@ def test_rotation_set_is_built_once_per_step_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         q[0, 0] = 0.5
     assert q[0].flags.writeable is False
+
+
+def test_an_int_step_shares_the_set_of_the_equal_float():
+    q = generate_rotations(30)
+    assert generate_rotations(30.0) is q and generate_rotations(np.float64(30)) is q
+    assert q.tobytes() == reference_rotations(30.0).tobytes()
