@@ -4,9 +4,7 @@ from .docking import (
     DockConfig,
     DockingResult,
     Pose,
-    direct_correlate,
     dock_pair,
-    fft_correlate,
     generate_rotations,
     rotate_structure,
 )
@@ -14,7 +12,6 @@ from .errors import (
     ComparisonError,
     CrossdockError,
     DispatchError,
-    GridMismatchError,
     GridOverflowError,
     NoAtomsError,
     ParameterError,

@@ -233,7 +233,7 @@ class _MasterCore:
             raise DispatchError("task list is empty")
         self.state = BatchState(tasks, policy.max_attempts, transition_hook)
         self.policy = policy
-        self.events: queue.Queue = queue.Queue()
+        self.events: queue.SimpleQueue = queue.SimpleQueue()
         self.workers: dict[object, str] = {}  # conn -> worker_id
         self.per_worker: dict[str, int] = {}
         self.parked: deque[object] = deque()  # conns, one per REQUEST
@@ -310,7 +310,7 @@ class _MasterCore:
         )
 
 
-def _reader(conn: wire.Channel, events: queue.Queue) -> None:
+def _reader(conn: wire.Channel, events: queue.SimpleQueue) -> None:
     try:
         for msg in conn.messages():
             events.put(("msg", conn, msg))
@@ -370,9 +370,9 @@ class _LocalConn:
     """In-memory worker connection: the master sends into ``inbox``, the
     lane posts onto the master's event queue."""
 
-    def __init__(self, events: queue.Queue):
+    def __init__(self, events: queue.SimpleQueue):
         self.events = events
-        self.inbox: queue.Queue = queue.Queue()
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def send(self, msg) -> None:
         self.inbox.put(msg)

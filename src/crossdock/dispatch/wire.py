@@ -1,16 +1,35 @@
-"""Length-prefixed JSON wire protocol for master-worker dispatch.
+"""Length-prefixed wire protocol for master-worker dispatch.
 
-Framing: a 4-byte big-endian unsigned payload length, then the UTF-8 JSON
-payload. Every message is an object with a "type" field from {REQUEST,
-ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 1. There is no handshake:
-a worker's first REQUEST, which names it, registers it with the master.
-TASK_FAILED names a task whose executor raised and carries the error text.
-A malformed payload, whatever its bytes, raises WireError and nothing else.
+Framing: a 4-byte big-endian unsigned payload length, then the payload.
+Every payload starts with compact UTF-8 JSON: an object with a "type" field
+from {REQUEST, ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 2. There is
+no handshake: a worker's first REQUEST, which names it, registers it with
+the master. TASK_FAILED names a task whose executor raised and carries the
+error text. Every message but RESULT is that JSON alone.
+
+A RESULT carries its poses as packed columns after the JSON header: the
+header holds "task_id", "poses" (the pose count K) and "result", the
+DockingResult fields but top_poses; then one b"\n" (compact JSON never
+holds a raw newline), then a (K, 4) little-endian int32 block of
+(rotation_index, tx, ty, tz) rows and a (K,) little-endian float64 block of
+scores, 24 bytes per pose, so scores cross bit for bit. Decoding checks
+that K is an int >= 0, that the columns are exactly 24 K bytes, that every
+translation lies in [0, grid n) and that no rotation index is negative.
+The rotation index is not checked against generate_rotations(angular_step):
+the step comes from the peer, and a hostile one would make the decoder
+build a huge rotation set.
+
+A malformed payload, whatever its bytes, raises WireError and nothing else:
+bytes after the JSON of any other message are malformed too, and so is
+every message of another version. Version 1 sent RESULT poses as JSON, so
+masters and workers must be upgraded together.
 
 Channel is one end of a connection, the same class on the master and the
 worker: locked sends and a frame reader that ends at EOF, on a malformed
-frame (a HELLO from a worker that predates this protocol is one) or once a
-failed send has shut the socket down.
+frame (a HELLO from a worker that predates registration by REQUEST is one)
+or once a failed send has shut the socket down. On TCP it turns Nagle's
+algorithm off, so that a small frame is not held back waiting for the ACK
+of the last one.
 """
 
 from __future__ import annotations
@@ -23,8 +42,11 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..docking import DockingResult
+import numpy as np
+
+from ..docking import DockingResult, Pose
 from ..errors import WireError
+from ..grid import GridSpec
 from .tasks import DockingTask
 
 __all__ = [
@@ -45,10 +67,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # sanity bound against corrupt prefixes
 
 _LEN = struct.Struct(">I")
+_POSE_BYTES = 4 * 4 + 8  # four int32 indices and a float64 score
 
 
 @dataclass(frozen=True)
@@ -87,7 +110,8 @@ def _payload(msg: Message) -> dict:
     if isinstance(msg, Assign):
         return {"type": "ASSIGN", "task": msg.task.to_dict()}
     if isinstance(msg, Result):
-        return {"type": "RESULT", "task_id": msg.task_id, "result": msg.result.to_dict()}
+        return {"type": "RESULT", "task_id": msg.task_id,
+                "poses": len(msg.result.top_poses), "result": msg.result.header()}
     if isinstance(msg, TaskFailed):
         return {"type": "TASK_FAILED", "task_id": msg.task_id, "error": msg.error}
     if isinstance(msg, Shutdown):
@@ -95,31 +119,57 @@ def _payload(msg: Message) -> dict:
     raise WireError(f"unknown message {msg!r}")
 
 
+def _pose_columns(poses: tuple[Pose, ...]) -> bytes:
+    if not poses:
+        return b""
+    rotation, tx, ty, tz, score = zip(*poses)
+    indices = np.array((rotation, tx, ty, tz), dtype="<i4").T
+    return indices.tobytes() + np.array(score, dtype="<f8").tobytes()
+
+
+def _read_poses(columns: bytes, k, n: int) -> tuple[Pose, ...]:
+    """The K poses packed in ``columns``, checked against grid edge n."""
+    if type(k) is not int or len(columns) != _POSE_BYTES * k:  # so k >= 0
+        raise WireError(f"{len(columns)} bytes of pose columns for {k!r} poses")
+    indices = np.frombuffer(columns, dtype="<i4", count=4 * k).reshape(k, 4)
+    if k and (indices.min() < 0 or indices[:, 1:].max() >= n):
+        raise WireError(f"a pose index is negative or a translation is not below {n}")
+    scores = np.frombuffer(columns, dtype="<f8", offset=16 * k)
+    return tuple(map(Pose._make, zip(*indices.T.tolist(), scores.tolist())))
+
+
 def encode_message(msg: Message) -> bytes:
     body = _payload(msg)
     body["v"] = PROTOCOL_VERSION
     payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+    if isinstance(msg, Result):
+        payload += b"\n" + _pose_columns(msg.result.top_poses)
     return _LEN.pack(len(payload)) + payload
 
 
 def decode_message(payload: bytes) -> Message:
     try:
-        body = json.loads(payload.decode("utf-8"))
+        header, newline, columns = payload.partition(b"\n")
+        body = json.loads(header.decode("utf-8"))
         if not isinstance(body, dict):
             raise WireError(f"payload is a JSON {type(body).__name__}, not an object")
         version = body.get("v")
         if version != PROTOCOL_VERSION:
             raise WireError(f"unsupported protocol version {version!r}")
         kind = body.get("type")
+        if kind == "RESULT":
+            if not newline:
+                raise WireError("a RESULT without its pose columns")
+            d = body["result"]
+            poses = _read_poses(columns, body["poses"], GridSpec.from_dict(d["grid"]).n)
+            return Result(task_id=str(body["task_id"]),
+                          result=DockingResult.from_header(d, poses))
+        if newline:
+            raise WireError(f"bytes after the JSON of a {kind!r} message")
         if kind == "REQUEST":
             return Request(worker_id=str(body["worker_id"]))
         if kind == "ASSIGN":
             return Assign(task=DockingTask.from_dict(body["task"]))
-        if kind == "RESULT":
-            return Result(
-                task_id=str(body["task_id"]),
-                result=DockingResult.from_dict(body["result"]),
-            )
         if kind == "TASK_FAILED":
             return TaskFailed(task_id=str(body["task_id"]), error=str(body["error"]))
         if kind == "SHUTDOWN":
@@ -167,6 +217,8 @@ class Channel:
     """One end of a framed connection; ``peer`` names the other end in logs."""
 
     def __init__(self, sock: socket.socket, peer: str):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.peer = peer
         self._lock = threading.Lock()

@@ -118,7 +118,7 @@ def worker_loop(
         _connect_with_backoff(connect, backoff_initial, backoff_cap, max_retries),
         f"{connect[0]}:{connect[1]}",
     )
-    responses: queue.Queue = queue.Queue()
+    responses: queue.SimpleQueue = queue.SimpleQueue()
 
     def reader() -> None:
         try:

@@ -7,8 +7,8 @@ placements are merged into a global top-K list under a total order
 (score descending, then rotation index and translation ascending), which
 makes results independent of thread scheduling.
 
-``direct_correlate`` is the brute-force oracle for the FFT path: a literal
-translation scan with cyclic indexing and no transforms. Keep it that way.
+The tests keep the brute-force oracle for the FFT path: a literal
+translation scan with cyclic indexing and no transforms.
 
 The transforms are scipy.fft's pocketfft, the same library NumPy vendors,
 called so that the results equal np.fft.fftn/ifftn bit for bit: scipy runs
@@ -31,15 +31,15 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .errors import GridMismatchError, NoAtomsError, ParameterError
+from .errors import NoAtomsError, ParameterError
 from .grid import (
     LIGAND,
     RECEPTOR,
-    DockGrid,
     GridSpec,
     ScoringParams,
     assign_grid,
@@ -52,8 +52,6 @@ from .pdb_io import Structure, bounding_box
 __all__ = [
     "generate_rotations",
     "rotate_structure",
-    "fft_correlate",
-    "direct_correlate",
     "DockConfig",
     "Pose",
     "DockingResult",
@@ -191,37 +189,6 @@ def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarra
     return np.real(spectrum)
 
 
-def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
-    """Correlation volume C(t) = sum_v Re[conj(R(v)) * L(v + t)] over all
-    cyclic voxel translations t, via the transform pair. The inverse
-    transform's 1/n^3 factor makes C match the direct sum exactly."""
-    if receptor.spec != ligand.spec:
-        raise GridMismatchError(
-            f"grids disagree: {receptor.spec} vs {ligand.spec}"
-        )
-    return _correlate(_receptor_spectrum(receptor.voxels), ligand.voxels)
-
-
-def direct_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
-    """Brute-force oracle for fft_correlate: a literal translation scan with
-    cyclic indexing and no transforms. O(n^6); intended for n <= 16."""
-    if receptor.spec != ligand.spec:
-        raise GridMismatchError(
-            f"grids disagree: {receptor.spec} vs {ligand.spec}"
-        )
-    n = receptor.spec.n
-    rc = np.conj(receptor.voxels)
-    lig = ligand.voxels
-    out = np.empty((n, n, n), dtype=np.float64)
-    for tx in range(n):
-        lx = np.roll(lig, -tx, axis=0)
-        for ty in range(n):
-            lxy = np.roll(lx, -ty, axis=1)
-            for tz in range(n):
-                out[tx, ty, tz] = np.sum(rc * np.roll(lxy, -tz, axis=2)).real
-    return out
-
-
 # The thread budget of the dispatch lane running in this thread; 0 outside
 # any lane. Set once per lane by thread_budget.
 _lane_threads: ContextVar[int] = ContextVar("lane_threads", default=0)
@@ -299,11 +266,15 @@ class DockConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """One rigid-body placement: a rotation plus a cyclic voxel translation,
     with its score. ``rotation_index`` is a row of the (N, 4) quaternion
-    array generate_rotations(angular_step) of the run's angular step."""
+    array generate_rotations(angular_step) of the run's angular step.
+
+    A named tuple, for cheap construction: a Pose equals the plain tuple of
+    its fields and has tuple ordering, which is not the Pose total order;
+    sort by sort_key.
+    """
 
     rotation_index: int
     tx: int
@@ -316,13 +287,7 @@ class Pose:
         return (-self.score, self.rotation_index, self.tx, self.ty, self.tz)
 
     def to_dict(self) -> dict:
-        return {
-            "rotation_index": self.rotation_index,
-            "tx": self.tx,
-            "ty": self.ty,
-            "tz": self.tz,
-            "score": self.score,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
@@ -348,6 +313,12 @@ class DockingResult:
     wall_time: float
 
     def to_dict(self) -> dict:
+        d = self.header()
+        d["top_poses"] = [p.to_dict() for p in self.top_poses]
+        return d
+
+    def header(self) -> dict:
+        """to_dict without "top_poses"."""
         return {
             "task_id": self.task_id,
             "receptor_id": self.receptor_id,
@@ -355,13 +326,13 @@ class DockingResult:
             "grid": self.grid_spec.to_dict(),
             "params": self.params.to_dict(),
             "angular_step": self.angular_step,
-            "top_poses": [p.to_dict() for p in self.top_poses],
             "best_score": self.best_score,
             "wall_time": self.wall_time,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DockingResult":
+    def from_header(cls, d: dict, top_poses: tuple[Pose, ...]) -> "DockingResult":
+        """The result whose header() is ``d``, with ``top_poses``."""
         return cls(
             task_id=d["task_id"],
             receptor_id=d["receptor_id"],
@@ -369,7 +340,7 @@ class DockingResult:
             grid_spec=GridSpec.from_dict(d["grid"]),
             params=ScoringParams.from_dict(d["params"]),
             angular_step=float(d["angular_step"]),
-            top_poses=tuple(Pose.from_dict(p) for p in d["top_poses"]),
+            top_poses=top_poses,
             best_score=float(d["best_score"]),
             wall_time=float(d["wall_time"]),
         )
@@ -447,7 +418,7 @@ class _TopK:
         tx, rem = np.divmod(flat, n * n)
         ty, tz = np.divmod(rem, n)
         columns = (ri.tolist(), tx.tolist(), ty.tolist(), tz.tolist(), self._scores.tolist())
-        return [Pose(*pose) for pose in zip(*columns)]
+        return list(map(Pose._make, zip(*columns)))
 
 
 def _best_candidates(

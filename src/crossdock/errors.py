@@ -32,10 +32,6 @@ class GridOverflowError(CrossdockError):
         self.serial = serial
 
 
-class GridMismatchError(CrossdockError, ValueError):
-    """Two grids that must share a GridSpec do not."""
-
-
 class ParameterError(CrossdockError, ValueError):
     """A configuration value is outside its documented range."""
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridOverflowError, NoAtomsError, ParameterError
 from .pdb_io import Structure, bounding_box
@@ -238,6 +237,21 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     return mask.reshape(n, n, n)
 
 
+def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
+    """``mask`` dilated ``steps`` times by the 3x3x3 cube, without wrapping
+    at the faces: the voxels within Chebyshev distance ``steps`` of a True
+    voxel. That cube is separable, so this ORs shifted slices along each
+    axis in turn, which on booleans is exact."""
+    for axis in range(mask.ndim):
+        src = np.moveaxis(mask, axis, 0)
+        grown = src.copy()
+        for shift in range(1, min(steps, len(src) - 1) + 1):
+            grown[shift:] |= src[:-shift]
+            grown[:-shift] |= src[shift:]
+        mask = np.moveaxis(grown, 0, axis)
+    return mask
+
+
 def assign_grid(
     s: Structure,
     spec: GridSpec,
@@ -269,11 +283,7 @@ def assign_grid(
         voxels[core] = params.ligand_weight
     else:
         if params.surface_thickness > 0:
-            dilated = ndimage.binary_dilation(
-                core,
-                structure=np.ones((3, 3, 3), dtype=bool),
-                iterations=params.surface_thickness,
-            )
+            dilated = _dilate(core, params.surface_thickness)
             voxels[dilated & ~core] = params.surface_weight
         voxels[core] = params.receptor_core_weight
     return DockGrid(spec=spec, voxels=voxels)

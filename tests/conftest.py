@@ -1,12 +1,20 @@
-"""Shared fixture builders: synthetic structures and the lock-and-key pair."""
+"""Shared fixture builders: synthetic structures and the lock-and-key pair,
+and the correlation oracle pair."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from crossdock.docking import DockingResult, Pose, generate_rotations, rotate_structure
-from crossdock.grid import GridSpec, ScoringParams
+from crossdock.docking import (
+    DockingResult,
+    Pose,
+    _correlate,
+    _receptor_spectrum,
+    generate_rotations,
+    rotate_structure,
+)
+from crossdock.grid import DockGrid, GridSpec, ScoringParams
 from crossdock.pdb_io import AtomRecord, Structure, bounding_box
 
 # Atom spacing for grid-aligned synthetic shapes: two 1.2 A voxels. With an
@@ -161,3 +169,28 @@ def sample_result(task_id: str = "r1__l1") -> DockingResult:
         grid_spec=GridSpec(8, 1.2, (0.5, -1.0, 2.25)), params=ScoringParams(),
         angular_step=90.0, top_poses=poses, best_score=12.5, wall_time=0.25,
     )
+
+
+def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
+    """Correlation volume C(t) = sum_v Re[conj(R(v)) * L(v + t)] over all
+    cyclic voxel translations t, through dock_pair's transform pair. The
+    inverse transform's 1/n^3 factor makes C match the direct sum exactly."""
+    assert receptor.spec == ligand.spec
+    return _correlate(_receptor_spectrum(receptor.voxels), ligand.voxels)
+
+
+def direct_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
+    """Brute-force oracle for fft_correlate: a literal translation scan with
+    cyclic indexing and no transforms. O(n^6); intended for n <= 16."""
+    assert receptor.spec == ligand.spec
+    n = receptor.spec.n
+    rc = np.conj(receptor.voxels)
+    lig = ligand.voxels
+    out = np.empty((n, n, n), dtype=np.float64)
+    for tx in range(n):
+        lx = np.roll(lig, -tx, axis=0)
+        for ty in range(n):
+            lxy = np.roll(lx, -ty, axis=1)
+            for tz in range(n):
+                out[tx, ty, tz] = np.sum(rc * np.roll(lxy, -tz, axis=2)).real
+    return out

@@ -33,7 +33,7 @@ from crossdock.dispatch import (
     worker_loop,
 )
 from crossdock.docking import DockConfig
-from crossdock.errors import NoAtomsError
+from crossdock.errors import DispatchError, NoAtomsError
 
 from conftest import sample_result
 
@@ -154,6 +154,30 @@ def test_failing_task_costs_only_itself_over_tcp():
     assert elapsed < STARTUP / 2
 
 
+def test_a_tcp_batch_turns_nagle_off_on_both_ends(monkeypatch):
+    nodelay = []
+    channel_init = wire.Channel.__init__
+
+    def spy(self, sock, peer):
+        channel_init(self, sock, peer)
+        nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(wire.Channel, "__init__", spy)
+    ids = ["r1__l1", "r1__l2", "r1__l3"]
+    port = free_port()
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    master, m = in_thread(master_run, make_tasks(ids), ("127.0.0.1", port), policy)
+    worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=2,
+                          executor=lambda task: sample_result(task.task_id), worker_id="w1",
+                          backoff_initial=0.01, backoff_cap=0.05, max_retries=500)
+    join(master)
+    join(worker)
+
+    assert "error" not in m and w == {"value": 3}, (m, w)
+    assert m["value"].completed == {tid: sample_result(tid) for tid in ids}
+    assert len(nodelay) == 2 and all(nodelay)  # the master's and the worker's end
+
+
 def test_local_pool_gives_the_tcp_outcome():
     executor = FaultyExecutor()
     policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
@@ -205,7 +229,7 @@ def test_a_hello_from_an_older_worker_drops_its_connection():
     policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
     master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
     with connect(port) as old:
-        send_frame(old, b'{"v":1,"type":"HELLO","worker_id":"old","slots":1}')
+        send_frame(old, b'{"v":2,"type":"HELLO","worker_id":"old","slots":1}')
         old.settimeout(STARTUP)
         assert old.recv(1) == b""
     worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=1,
@@ -415,6 +439,14 @@ def test_master_run_returns_as_soon_as_the_batch_ends():
         assert set(report.completed) == {"r1__l1"}
         delays.append(returned - sent)
     assert sum(delays) / len(delays) < 0.05, delays
+
+
+def test_master_run_raises_when_no_worker_connects_in_time():
+    policy = DispatchPolicy(startup_timeout=0.2)
+    t0 = time.monotonic()
+    with pytest.raises(DispatchError, match="no worker connected within 0.2 s"):
+        master_run(make_tasks(["r1__l1"]), ("127.0.0.1", free_port()), policy)
+    assert time.monotonic() - t0 < STARTUP
 
 
 @pytest.mark.parametrize("cpus, lanes", [(8, 3), (8, 1), (2, 4)])

@@ -21,9 +21,7 @@ from crossdock.docking import (
     Pose,
     _best_candidates,
     _TopK,
-    direct_correlate,
     dock_pair,
-    fft_correlate,
     generate_rotations,
     place_ligand,
     rotate_structure,
@@ -32,7 +30,7 @@ from crossdock.errors import ParameterError
 from crossdock.grid import LIGAND, RECEPTOR, DockGrid, GridSpec, ScoringParams, assign_grid
 from crossdock.pdb_io import AtomRecord, Structure
 
-from conftest import random_structure
+from conftest import direct_correlate, fft_correlate, random_structure
 
 # sha256 of the exact top-K lines "rotation tx ty tz score.hex()" of the
 # blob pair below at a 60 degree step, recorded with the per-atom loop
@@ -169,6 +167,19 @@ def test_array_top_k_floor_rises_only_with_k_kept_entries():
     assert [p.sort_key() for p in top.sorted_poses()] == [
         (-3.0, 2, 0, 2, 1), (-2.0, 0, 0, 0, 1), (-2.0, 0, 0, 1, 1), (-2.0, 1, 0, 0, 0)]
     assert top.floor == 2.0
+
+
+def test_pose_is_a_named_tuple_with_a_dict_form():
+    pose = Pose(3, 1, 2, 0, 12.5)
+    d = pose.to_dict()
+    assert type(d) is dict
+    assert list(d.items()) == [("rotation_index", 3), ("tx", 1), ("ty", 2), ("tz", 0),
+                               ("score", 12.5)]
+    assert Pose.from_dict(d) == pose and pose.sort_key() == (-12.5, 3, 1, 2, 0)
+    assert pose == (3, 1, 2, 0, 12.5)  # tuple equality, as the docstring says
+    top = _TopK(2)
+    top.merge(0, np.array([5, 1]), np.array([2.0, 1.0]), 4)
+    assert [type(p) for p in top.sorted_poses()] == [Pose, Pose]
 
 
 @pytest.mark.parametrize("bad", [{"top_k": 2.7}, {"threads": True}, {"margin_voxels": 1.5},

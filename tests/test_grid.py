@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from crossdock.errors import GridOverflowError, NoAtomsError, ParameterError
 from crossdock.grid import (
@@ -10,6 +15,8 @@ from crossdock.grid import (
     RECEPTOR,
     GridSpec,
     ScoringParams,
+    _core_mask,
+    _dilate,
     assign_grid,
     choose_grid_size,
     is_radix_friendly,
@@ -438,3 +445,69 @@ class TestAssignGrid:
         spec = GridSpec(n=8, pitch=1.2, origin=(0.0, 0.0, 0.0))
         with pytest.raises(NoAtomsError):
             assign_grid(Structure(id="e", atoms=()), spec, LIGAND)
+
+
+def ndimage_dilation(core: np.ndarray, thickness: int) -> np.ndarray:
+    """The oracle: scipy's dilation by the 3x3x3 cube, ``thickness`` times,
+    with nothing beyond the faces (its iterations=0 means "until nothing
+    changes", so thickness 0 is the core itself)."""
+    if thickness == 0:
+        return core.copy()
+    return ndimage.binary_dilation(core, structure=np.ones((3, 3, 3), dtype=bool),
+                                   iterations=thickness)
+
+
+def face_cores(n: int) -> list[np.ndarray]:
+    """Cores with voxels on every face, an edge and a corner of the grid."""
+    on_faces = np.zeros((n, n, n), dtype=bool)
+    for axis in range(3):
+        for side in (0, n - 1):
+            index = [n // 2] * 3
+            index[axis] = side
+            on_faces[tuple(index)] = True
+    corner = np.zeros((n, n, n), dtype=bool)
+    corner[0, 0, 0] = corner[n - 1, n - 1, 0] = True
+    edge = np.zeros((n, n, n), dtype=bool)
+    edge[0, :, n - 1] = True
+    return [on_faces, corner, edge, np.ones((n, n, n), dtype=bool)]
+
+
+@pytest.mark.parametrize("thickness", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [4, 5, 9, 16])
+def test_dilation_equals_ndimage_including_cores_on_the_faces(n, thickness):
+    rng = np.random.default_rng([71, n, thickness])
+    cores = face_cores(n) + [rng.random((n, n, n)) < p for p in (0.005, 0.05, 0.3)]
+    for core in cores:
+        before = core.copy()
+        assert np.array_equal(_dilate(core, thickness), ndimage_dilation(core, thickness))
+        assert np.array_equal(core, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("thickness", [0, 1, 2, 3])
+def test_receptor_surface_equals_the_ndimage_oracle_with_atoms_on_the_faces(thickness):
+    n, pitch = 12, 1.2
+    spec = GridSpec(n=n, pitch=pitch, origin=(0.0, 0.0, 0.0))
+    near, far = 1.4, (n - 1) * pitch - 1.4  # 1.4 A from the first or last voxel center
+    rng = np.random.default_rng([73, thickness])
+    coords = [(near, 7.2, 6.0), (6.0, far, 4.8), (3.6, 2.4, near), (far, 6.0, 6.0)]
+    coords += [tuple(rng.uniform(near, far, 3)) for _ in range(4)]
+    s = Structure("faces", tuple(AtomRecord(i + 1, "CA", "ALA", "A", i + 1, *map(float, c), "C")
+                                 for i, c in enumerate(coords)))
+    params = ScoringParams(surface_thickness=thickness)
+    core = _core_mask(s, spec, params.atom_radius)
+    assert core[0].any() and core[:, n - 1].any() and core[:, :, 0].any() and core[n - 1].any()
+    grid = assign_grid(s, spec, RECEPTOR, params)
+    want = ndimage_dilation(core, thickness) & ~core
+    assert np.array_equal(grid.voxels.real == params.surface_weight, want)
+    assert np.array_equal(grid.voxels.real == params.receptor_core_weight, core)
+
+
+def test_import_crossdock_loads_no_scipy_ndimage():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, crossdock; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
