@@ -83,9 +83,7 @@ def _build_config(args: argparse.Namespace) -> DockConfig:
         for attr in ("pitch", "margin_voxels", "angular_step", "top_k", "threads")
         if getattr(args, attr) is not None
     }
-    cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _print_config_header(cfg: DockConfig, extra: dict | None = None) -> None:

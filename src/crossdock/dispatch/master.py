@@ -312,7 +312,7 @@ class _MasterCore:
 
 def _reader(conn: wire.Channel, events: queue.SimpleQueue) -> None:
     try:
-        for msg in conn.messages():
+        while (msg := conn.receive()) is not None:
             events.put(("msg", conn, msg))
     finally:
         events.put(("closed", conn, None))

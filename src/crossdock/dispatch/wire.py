@@ -25,11 +25,13 @@ every message of another version. Version 1 sent RESULT poses as JSON, so
 masters and workers must be upgraded together.
 
 Channel is one end of a connection, the same class on the master and the
-worker: locked sends and a frame reader that ends at EOF, on a malformed
-frame (a HELLO from a worker that predates registration by REQUEST is one)
-or once a failed send has shut the socket down. On TCP it turns Nagle's
-algorithm off, so that a small frame is not held back waiting for the ACK
-of the last one.
+worker, with three calls: send, receive and shutdown. Sends and receives
+each have their own lock, so several threads (a worker's lanes) can share
+one channel: they take turns on receive, one whole frame each. receive
+returns None at EOF, on a malformed frame (a HELLO from a worker that
+predates registration by REQUEST is one) and once a failed send or a
+shutdown has ended the connection. On TCP it turns Nagle's algorithm off,
+so that a small frame is not held back waiting for the ACK of the last one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -221,30 +222,33 @@ class Channel:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.peer = peer
-        self._lock = threading.Lock()
+        self._send_lock = threading.Lock()
+        self._receive_lock = threading.Lock()
 
     def send(self, msg: Message) -> bool:
         """Send one frame; False, with the socket shut down, once the
         connection is gone."""
         try:
-            with self._lock:
+            with self._send_lock:
                 send_message(self.sock, msg)
             return True
         except OSError:
-            self.shutdown()  # ends messages(), so the reader sees the loss
+            self.shutdown()  # ends receive(), so the reader sees the loss
             return False
 
-    def messages(self) -> Iterator[Message]:
-        """Frames until EOF, a socket error or a malformed frame, which is
-        logged and shuts the connection down so that the peer sees it end."""
+    def receive(self) -> Message | None:
+        """The next frame; None at EOF, on a socket error or on a malformed
+        frame, which is logged and shuts the connection down so that the
+        peer sees it end. Once it has returned None, it always does."""
         try:
-            while (msg := recv_message(self.sock)) is not None:
-                yield msg
+            with self._receive_lock:
+                return recv_message(self.sock)
         except WireError as exc:
             log.warning("dropping connection %s: %s", self.peer, exc)
             self.shutdown()
         except OSError:
             pass
+        return None
 
     def shutdown(self) -> None:
         """Wake a blocked reader and end the connection; close() alone does

@@ -3,9 +3,11 @@
 A lane (run_lane) loops REQUEST -> ASSIGN -> execute -> RESULT, or
 TASK_FAILED when the executor raises, and keeps serving either way.
 worker_loop runs ``slots`` lanes over one wire.Channel; the lanes' first
-REQUESTs register the worker with the master. The channel's reader thread
-feeds the ASSIGN replies (interchangeable between lanes) into a shared
-queue; SHUTDOWN, EOF, a malformed frame or a failed send stops every lane.
+REQUESTs register the worker with the master. There is no reader thread:
+the lanes take turns on Channel.receive, and any lane may take any ASSIGN,
+since they are interchangeable. A lane stops on SHUTDOWN, EOF, a malformed
+frame or a failed send, and the first lane to stop shuts the connection
+down, which stops the others.
 local_pool_run runs the same lanes over in-memory connections. Either way
 the lanes of one process share its cores: in a lane, a threads=0 task
 docks on the logical cores divided by the lane count
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import os
-import queue
 import socket
 import threading
 import time
@@ -118,24 +119,14 @@ def worker_loop(
         _connect_with_backoff(connect, backoff_initial, backoff_cap, max_retries),
         f"{connect[0]}:{connect[1]}",
     )
-    responses: queue.SimpleQueue = queue.SimpleQueue()
-
-    def reader() -> None:
-        try:
-            for msg in channel.messages():
-                if isinstance(msg, wire.Shutdown):
-                    break
-                responses.put(msg)
-        finally:
-            for _ in range(slots):
-                responses.put(None)
-
-    reader_thread = threading.Thread(target=reader, daemon=True)
-    reader_thread.start()
     delivered = [0] * slots
 
     def lane(index: int) -> None:
-        delivered[index] = run_lane(channel.send, responses.get, executor, worker_id, slots)
+        try:
+            delivered[index] = run_lane(channel.send, channel.receive, executor, worker_id,
+                                        slots)
+        finally:
+            channel.shutdown()  # the master sends one SHUTDOWN for all the lanes
 
     lanes = [threading.Thread(target=lane, args=(i,), daemon=True) for i in range(slots)]
     for t in lanes:
@@ -145,7 +136,6 @@ def worker_loop(
             t.join()
     finally:
         channel.shutdown()
-        reader_thread.join(timeout=5)
         channel.sock.close()
 
     completed = sum(delivered)

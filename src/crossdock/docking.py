@@ -18,6 +18,11 @@ ifftn scales by 1/n on every pass, hence three one-axis inverse calls where
 one scipy.fft.ifftn would scale once by 1/n^3 and round differently. The
 top-K breaks ties between equal scores on the last bits of these
 transforms, so a change here that is not bit-identical moves it.
+
+scipy.fft (about 0.25 s and 25 MB to load) is imported at the first
+transform, not with this module: a master, an analyzer or a worker that has
+not docked yet imports this module for its records only. The transforms
+look scipy.fft.fftn and ifft up at call time.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import NoAtomsError, ParameterError
 from .grid import (
@@ -87,15 +91,20 @@ def generate_rotations(angular_step: float) -> np.ndarray:
     return _rotation_set(float(angular_step))
 
 
-@functools.cache
-def _rotation_set(angular_step: float) -> np.ndarray:
+def _steps_per_turn(angular_step: float) -> int:
+    """The steps in one full turn; ParameterError unless the step is in
+    (0, 120] and divides 360 evenly."""
     if not (0.0 < angular_step <= 120.0):
         raise ParameterError(f"angular step must be in (0, 120], got {angular_step}")
     turns = 360.0 / angular_step
     if abs(turns - round(turns)) > 1e-9:
         raise ParameterError(f"angular step {angular_step} does not divide 360 evenly")
+    return int(round(turns))
 
-    n = int(round(turns))
+
+@functools.cache
+def _rotation_set(angular_step: float) -> np.ndarray:
+    n = _steps_per_turn(angular_step)
     angles = [i * angular_step for i in range(n)]
     n_beta = sum(1 for a in angles if a <= 180.0 + 1e-9)
     half = [math.radians(a) / 2.0 for a in angles]
@@ -166,6 +175,8 @@ def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
 def _receptor_spectrum(receptor_voxels: np.ndarray) -> np.ndarray:
     """conj(FFT(R)): the receptor half of the correlation, computed once.
     Equal bit for bit to np.conj(np.fft.fftn(R)); see the module docstring."""
+    import scipy.fft
+
     return np.conj(scipy.fft.fftn(receptor_voxels, axes=(2, 1, 0)))
 
 
@@ -182,6 +193,8 @@ def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarra
     and in this operand order: in place or swapped, it can round
     differently.
     """
+    import scipy.fft
+
     spectrum = rec_hat_conj * scipy.fft.fftn(ligand_voxels, axes=(2, 1, 0))
     del ligand_voxels
     for axis in (2, 1, 0):
@@ -208,7 +221,8 @@ def thread_budget(lanes: int):
 
 @dataclass(frozen=True)
 class DockConfig:
-    """Knobs for one docking run; every field has a usable default."""
+    """Knobs for one docking run; every field has a usable default. A field
+    out of its range raises ParameterError on construction."""
 
     pitch: float = 1.2
     margin_voxels: int = 4
@@ -219,11 +233,12 @@ class DockConfig:
     # divided by the lanes in this process (at least 1); all cores otherwise.
     threads: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.pitch < math.inf:
             raise ParameterError(f"pitch must be finite and > 0, got {self.pitch}")
         if self.margin_voxels < 0:
             raise ParameterError(f"margin_voxels must be >= 0, got {self.margin_voxels}")
+        _steps_per_turn(self.angular_step)
         if self.top_k < 1:
             raise ParameterError(f"top_k must be >= 1, got {self.top_k}")
         if self.threads < 0:
@@ -261,9 +276,7 @@ class DockConfig:
                     raise ParameterError(
                         f"config field {key!r}: bad value {value!r} "
                         f"({type(exc).__name__}: {exc})") from None
-        cfg = cls(**fields)
-        cfg.validate()
-        return cfg
+        return cls(**fields)
 
 
 class Pose(NamedTuple):
@@ -288,16 +301,6 @@ class Pose(NamedTuple):
 
     def to_dict(self) -> dict:
         return self._asdict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Pose":
-        return cls(
-            rotation_index=int(d["rotation_index"]),
-            tx=int(d["tx"]),
-            ty=int(d["ty"]),
-            tz=int(d["tz"]),
-            score=float(d["score"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -493,7 +496,6 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     grid, which raises GridOverflowError naming the atom.
     """
     config = config or DockConfig()
-    config.validate()
     t_start = time.perf_counter()
     spec = choose_grid_size(receptor, ligand, config.pitch, config.margin_voxels)
     rotations = generate_rotations(config.angular_step)

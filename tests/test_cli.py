@@ -51,6 +51,19 @@ def test_exit_2_on_a_bad_config_file(tmp_path, capsys, config):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--dry-run"]])
+def test_exit_2_on_a_bad_step_before_any_task_runs(tmp_path, capsys, flags):
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    lists = [str(tmp_path / "list.txt")] * 2
+    out = tmp_path / "out"
+    code = cli.main(["cross", *lists, "--step", "7", "--workers", "2",
+                     "--out-dir", str(out), *flags])
+    assert code == cli.EXIT_CONFIG
+    assert "does not divide 360" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_v_sets_the_crossdock_logger_under_a_configured_root(capsys):
     """A host program's root handler must not swallow -v, and repeated runs
     must not stack stderr handlers."""

@@ -413,6 +413,24 @@ def test_worker_loop_returns_0_when_the_master_closes_at_once():
     assert w == {"value": 0}
 
 
+def test_worker_lanes_read_the_channel_and_one_shutdown_ends_them_all():
+    """A worker runs one thread per slot and no reader: its lanes take
+    turns on the channel. The lane that reads the one SHUTDOWN ends the
+    connection for the others, though the master keeps it open."""
+    slots = 4
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        before = threading.active_count()
+        worker, w = in_thread(worker_loop, server.getsockname(), slots=slots,
+                              executor=sample_result, worker_id="w1")
+        conn, _ = server.accept()
+        with conn:
+            assert [wire.recv_message(conn) for _ in range(slots)] == [wire.Request("w1")] * slots
+            assert threading.active_count() == before + slots + 1  # + in_thread's runner
+            wire.send_message(conn, wire.Shutdown())
+            join(worker, STARTUP)
+    assert w == {"value": 0}
+
+
 def timed_master_run(port: int, policy: DispatchPolicy):
     report = master_run(make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
     return report, time.perf_counter()

@@ -3,13 +3,18 @@ floor pruning of the per-rotation candidates against sorted oracles, config
 parsing, the FFT correlation against its direct oracle and bit for bit
 against the NumPy transforms,
 dock_pair end to end (the lock-and-key pose, re-scoring by a direct cyclic
-sum), the array-backed Structure API, and the call seams the benchmark's
-tracer patches."""
+sum), the array-backed Structure API, the call seams the benchmark's
+tracer patches, and that SciPy loads at the first transform only."""
 
+import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +180,7 @@ def test_pose_is_a_named_tuple_with_a_dict_form():
     assert type(d) is dict
     assert list(d.items()) == [("rotation_index", 3), ("tx", 1), ("ty", 2), ("tz", 0),
                                ("score", 12.5)]
-    assert Pose.from_dict(d) == pose and pose.sort_key() == (-12.5, 3, 1, 2, 0)
+    assert pose.sort_key() == (-12.5, 3, 1, 2, 0)
     assert pose == (3, 1, 2, 0, 12.5)  # tuple equality, as the docstring says
     top = _TopK(2)
     top.merge(0, np.array([5, 1]), np.array([2.0, 1.0]), 4)
@@ -190,6 +195,14 @@ def test_pose_is_a_named_tuple_with_a_dict_form():
 def test_config_rejects_bools_and_fractions_in_number_fields(bad):
     with pytest.raises(ParameterError, match=f"config field {next(iter(bad))!r}"):
         DockConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("make", [lambda: DockConfig(angular_step=7),
+                                  lambda: dataclasses.replace(DockConfig(), top_k=0)],
+                         ids=["step-7", "replaced-top-k-0"])
+def test_config_is_checked_on_construction(make):
+    with pytest.raises(ParameterError):
+        make()
 
 
 def test_config_reads_integral_numbers_as_ints():
@@ -363,3 +376,36 @@ def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_p
     dock_pair(rec, lig, DockConfig(angular_step=90.0, top_k=10, threads=threads))
     assert counts == Counter({LIGAND: rotations, RECEPTOR: 1, "rotate": rotations,
                               "fftn": rotations + 1, "ifft": 3 * rotations})
+
+
+LEAN_MODULES = ["crossdock", "crossdock.cli", "crossdock.costmodel",
+                "crossdock.dispatch.master", "crossdock.dispatch.worker"]
+DOCK_ONE_PAIR = """
+from crossdock import AtomRecord, DockConfig, Structure, dock_pair
+s = Structure("s", tuple(AtomRecord(i + 1, "CA", "ALA", "A", 1, 2.0 * i, 0.0, 0.0, "C")
+                         for i in range(3)))
+dock_pair(s, s, DockConfig(angular_step=120.0, top_k=1, threads=1))
+"""
+
+
+def modules_after(code: str) -> list[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("code, loaded, not_loaded", [
+    *((f"import {module}", [], "scipy") for module in LEAN_MODULES),
+    (DOCK_ONE_PAIR, ["scipy.fft"], "scipy.ndimage"),
+], ids=[*LEAN_MODULES, "dock_pair"])
+def test_scipy_loads_at_the_first_transform(code, loaded, not_loaded):
+    """A process that imports the package to dispatch, analyze or parse
+    loads no SciPy; one that docks loads scipy.fft and still no ndimage."""
+    modules = modules_after(code)
+    assert [m for m in loaded if m not in modules] == []
+    assert [m for m in modules if m == not_loaded or m.startswith(not_loaded + ".")] == []

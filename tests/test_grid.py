@@ -1,9 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,14 +496,3 @@ def test_receptor_surface_equals_the_ndimage_oracle_with_atoms_on_the_faces(thic
     want = ndimage_dilation(core, thickness) & ~core
     assert np.array_equal(grid.voxels.real == params.surface_weight, want)
     assert np.array_equal(grid.voxels.real == params.receptor_core_weight, core)
-
-
-def test_import_crossdock_loads_no_scipy_ndimage():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, crossdock; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"

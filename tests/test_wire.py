@@ -126,6 +126,8 @@ ASSIGN_PAYLOAD = payload_of(wire.Assign(TASK))
     pytest.param(with_header([Pose(0, 0, 8, 0, 1.0)]), id="translation-equal-to-n"),
     pytest.param(with_header([Pose(0, 0, 0, -1, 1.0)]), id="translation-negative"),
     pytest.param(with_header([Pose(-1, 0, 0, 0, 1.0)]), id="rotation-negative"),
+    pytest.param(ASSIGN_PAYLOAD.replace(b'"angular_step":90.0', b'"angular_step":7'),
+                 id="assign-step-not-dividing-360"),
     pytest.param(ASSIGN_PAYLOAD + b"\n", id="assign-newline"),
     pytest.param(ASSIGN_PAYLOAD + b"\n{}", id="bytes-after-assign"),
     pytest.param(payload_of(wire.Shutdown()) + b"\n" + RESULT_COLUMNS,
@@ -264,7 +266,8 @@ def test_a_channel_over_a_unix_socket_pair_sends_and_receives():
         for msg in MESSAGES:
             assert sender.send(msg)
         a.shutdown(socket.SHUT_WR)
-        assert list(receiver.messages()) == MESSAGES
+        assert [receiver.receive() for _ in MESSAGES] == MESSAGES
+        assert receiver.receive() is None
 
 
 def test_a_channel_turns_nagle_off_on_both_ends_of_a_tcp_connection():
@@ -278,4 +281,4 @@ def test_a_channel_turns_nagle_off_on_both_ends_of_a_tcp_connection():
                 for sock in (connected, accepted):
                     assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
                 assert worker.send(wire.Result("r1__l1", sample_result()))
-                assert next(master.messages()) == wire.Result("r1__l1", sample_result())
+                assert master.receive() == wire.Result("r1__l1", sample_result())
