@@ -1,17 +1,20 @@
 """Master-side task dispatch: FIFO queue, failure requeue, exactly-once
 results.
 
-All batch-state mutations happen on one event loop fed by connection events,
-so state transitions are atomic per message no matter how many workers are
-connected. A worker registers with its first REQUEST, which names it. Each
-connection's reader posts "closed" as its last event, exactly once, however
-the connection ends: EOF, a malformed frame, or a failed send, which shuts
-the socket down and so ends the reader. Two events charge a task one
-attempt: a TASK_FAILED for it from the connection that holds it, and the
-"closed" of that connection, which charges every task it held. A charged task
-is requeued at the front of the queue, or recorded as permanently failed
-with its last failure reason once ``max_attempts`` is spent. There is no
-timeout-based straggler reassignment.
+The batch state has one lock. The thread that receives a message (a TCP
+connection's reader, or an in-process lane posting it) applies it under
+that lock, so state transitions are atomic per message no matter how many
+workers are connected; the caller of master_run or local_pool_run only
+waits for the batch to end. A worker registers with its first REQUEST,
+which names it. Each connection's reader reports the connection closed as
+its last call, exactly once, however the connection ends: EOF, a malformed
+frame, or a failed send, which shuts the socket down and so ends the
+reader. Two events charge a task one attempt: a TASK_FAILED for it from
+the connection that holds it, and the close of that connection, which
+charges every task it held. A charged task is requeued at the front of the
+queue, or recorded as permanently failed with its last failure reason once
+``max_attempts`` is spent. There is no timeout-based straggler
+reassignment.
 
 Every REQUEST is parked and parked lanes are served in arrival order: at
 once while the queue holds a task, otherwise by a requeued task (any
@@ -148,21 +151,19 @@ class BatchState:
         keeps the partition by induction at O(1) per transition, and every
         id is checked once more when the batch becomes terminal.
         """
-        n = len(self.pending) + len(self.in_flight) + len(self.completed) + len(
-            self.permanently_failed
-        )
-        if n != self.total:
+        done = len(self.completed) + len(self.permanently_failed)
+        if len(self.pending) + len(self.in_flight) + done != self.total:
             raise DispatchError(
                 f"conservation violated: {len(self.pending)} pending + "
                 f"{len(self.in_flight)} in flight + {len(self.completed)} completed + "
                 f"{len(self.permanently_failed)} failed != {self.total}"
             )
-        if self.all_terminal():
+        if done == self.total:
             moved = self.task_order
-        groups = (self.in_flight, self.completed, self.permanently_failed)
-        overlap = {tid for tid in moved if sum(tid in g for g in groups) > 1}
-        if overlap:
-            raise DispatchError(f"task states overlap: {sorted(overlap)}")
+        in_flight, completed, failed = self.in_flight, self.completed, self.permanently_failed
+        for tid in moved:
+            if (tid in in_flight) + (tid in completed) + (tid in failed) > 1:
+                raise DispatchError(f"task states overlap: {tid}")
         if self._hook is not None:
             self._hook(self)
 
@@ -223,9 +224,10 @@ class BatchState:
 
 
 class _MasterCore:
-    """Transport-agnostic event loop. Events are ("msg", conn, message) and
-    ("closed", conn, None), the latter a connection's last event; conns
-    expose send(msg), which never raises."""
+    """Transport-agnostic batch state under one lock. Conns expose
+    send(msg), which never raises. The thread that receives a message
+    applies it with handle(conn, msg), and a connection's end with
+    handle(conn, None), its last call; run() waits for the batch to end."""
 
     def __init__(self, tasks: Sequence[DockingTask], policy: DispatchPolicy,
                  transition_hook=None):
@@ -233,11 +235,17 @@ class _MasterCore:
             raise DispatchError("task list is empty")
         self.state = BatchState(tasks, policy.max_attempts, transition_hook)
         self.policy = policy
-        self.events: queue.SimpleQueue = queue.SimpleQueue()
         self.workers: dict[object, str] = {}  # conn -> worker_id
         self.per_worker: dict[str, int] = {}
         self.parked: deque[object] = deque()  # conns, one per REQUEST
-        self._idle_since = time.monotonic()
+        # Lanes may start serving before run() is called.
+        self._started = self._idle_since = time.monotonic()
+        # The lock guards everything here. run() waits on the condition
+        # for the batch to be over, or for the last worker to leave.
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._error: Exception | None = None  # the first, re-raised by run()
+        self._over = False  # terminal or failed: handle() changes nothing more
 
     def _register(self, conn: object, worker_id: str) -> None:
         self.workers[conn] = worker_id
@@ -247,57 +255,72 @@ class _MasterCore:
         while self.parked and self.state.pending:
             conn = self.parked.popleft()
             task = self.state.assign_next(conn)
-            # A failed send ends the connection's reader, whose "closed"
-            # event charges the task.
+            # A failed send ends the connection's reader, whose close
+            # charges the task.
             conn.send(wire.Assign(task))
 
-    def _handle_closed(self, conn: object) -> None:
-        self.parked = deque(c for c in self.parked if c is not conn)
-        charged = self.state.worker_lost(conn)
-        log.info("worker %s lost; charged %d task(s)", self.workers.get(conn), len(charged))
-        self.workers.pop(conn, None)
-        if not self.workers:
-            self._idle_since = time.monotonic()
-        self._serve_parked()
+    def _apply(self, conn: object, msg: wire.Message | None) -> None:
+        if msg is None:
+            self.parked = deque(c for c in self.parked if c is not conn)
+            charged = self.state.worker_lost(conn)
+            log.info("worker %s lost; charged %d task(s)", self.workers.get(conn), len(charged))
+            self.workers.pop(conn, None)
+            if not self.workers:
+                self._idle_since = time.monotonic()
+            self._serve_parked()
+        elif isinstance(msg, wire.Request):
+            if conn not in self.workers:
+                self._register(conn, msg.worker_id)
+            self.parked.append(conn)
+            self._serve_parked()
+        elif isinstance(msg, wire.Result):
+            if self.state.record_result(msg.task_id, msg.result):
+                worker_id = self.workers.get(conn, "unknown")
+                self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
+            else:
+                log.info("discarding duplicate/stale result for %s", msg.task_id)
+        elif isinstance(msg, wire.TaskFailed):
+            if self.state.task_failed(conn, msg.task_id, msg.error):
+                self._serve_parked()
+            else:
+                log.info("discarding stale failure for %s", msg.task_id)
+        else:
+            log.warning("ignoring unexpected message %r", msg)
+
+    def handle(self, conn: object, msg: wire.Message | None) -> None:
+        """Apply one message from ``conn``, or its close when ``msg`` is
+        None, in the calling thread. Once the batch is terminal or has
+        failed, later events change nothing. An error in the bookkeeping
+        (a DispatchError from BatchState, or the transition hook's own) is
+        kept for run() to raise in its caller's thread; this never raises."""
+        with self._lock:
+            if self._over:
+                return
+            try:
+                self._apply(conn, msg)
+            except Exception as exc:
+                self._error = exc
+            self._over = self._error is not None or self.state.all_terminal()
+            if self._over or not self.workers:
+                self._changed.notify()
 
     def run(self) -> BatchReport:
-        t_start = time.monotonic()
-        self._idle_since = t_start
-        while not self.state.all_terminal():
-            timeout = None
-            if not self.workers and not self.state.in_flight:
-                # No live workers: bounded wait for the first (or a
-                # replacement) connection instead of hanging forever.
-                waited = time.monotonic() - self._idle_since
-                timeout = max(0.0, self.policy.startup_timeout - waited)
-            try:
-                kind, conn, msg = self.events.get(timeout=timeout)
-            except queue.Empty:
-                raise DispatchError(
-                    f"no worker connected within {self.policy.startup_timeout} s"
-                ) from None
-
-            if kind == "closed":
-                self._handle_closed(conn)
-            elif isinstance(msg, wire.Request):
-                if conn not in self.workers:
-                    self._register(conn, msg.worker_id)
-                self.parked.append(conn)
-                self._serve_parked()
-            elif isinstance(msg, wire.Result):
-                if self.state.record_result(msg.task_id, msg.result):
-                    worker_id = self.workers.get(conn, "unknown")
-                    self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
-                else:
-                    log.info("discarding duplicate/stale result for %s", msg.task_id)
-            elif isinstance(msg, wire.TaskFailed):
-                if self.state.task_failed(conn, msg.task_id, msg.error):
-                    self._serve_parked()
-                else:
-                    log.info("discarding stale failure for %s", msg.task_id)
-            else:
-                log.warning("ignoring unexpected message %r", msg)
-
+        with self._changed:
+            while not self._over:
+                timeout = None
+                if not self.workers and not self.state.in_flight:
+                    # No live workers: bounded wait for the first (or a
+                    # replacement) connection instead of hanging forever.
+                    waited = time.monotonic() - self._idle_since
+                    timeout = self.policy.startup_timeout - waited
+                    if timeout <= 0:
+                        raise DispatchError(
+                            f"no worker connected within {self.policy.startup_timeout} s"
+                        )
+                self._changed.wait(timeout)
+        # From here on, handle() changes nothing.
+        if self._error is not None:
+            raise self._error
         for conn in self.workers:
             conn.send(wire.Shutdown())
         return BatchReport(
@@ -306,16 +329,16 @@ class _MasterCore:
             failed=dict(self.state.permanently_failed),
             errors={tid: self.state.last_error[tid] for tid in self.state.permanently_failed},
             per_worker=dict(self.per_worker),
-            wall_time=time.monotonic() - t_start,
+            wall_time=time.monotonic() - self._started,
         )
 
 
-def _reader(conn: wire.Channel, events: queue.SimpleQueue) -> None:
+def _reader(conn: wire.Channel, core: _MasterCore) -> None:
     try:
         while (msg := conn.receive()) is not None:
-            events.put(("msg", conn, msg))
+            core.handle(conn, msg)
     finally:
-        events.put(("closed", conn, None))
+        core.handle(conn, None)
 
 
 def master_run(
@@ -325,10 +348,16 @@ def master_run(
     transition_hook=None,
 ) -> BatchReport:
     """Serve a batch to TCP workers; returns when every task is terminal,
-    once every connection is shut down and its reader has ended.
+    once every connection is shut down and its reader has ended. Each
+    connection's reader thread applies its messages to the batch state.
 
-    Raises DispatchError when the endpoint cannot be bound or no worker
-    connects within ``policy.startup_timeout``.
+    ``transition_hook(state)`` is called once at the start and after every
+    state transition, in the thread that caused it and under the master's
+    lock, so calls never overlap; it must not block or call back into the
+    dispatch. An exception it raises ends the batch and is raised here, as
+    is a DispatchError from the bookkeeping. Raises DispatchError when the
+    endpoint cannot be bound or no worker connects within
+    ``policy.startup_timeout``.
     """
     policy = policy or DispatchPolicy()
     core = _MasterCore(tasks, policy, transition_hook)
@@ -346,7 +375,7 @@ def master_run(
             except OSError:  # the server socket was shut down
                 break
             conn = wire.Channel(sock, f"{addr[0]}:{addr[1]}")
-            reader = threading.Thread(target=_reader, args=(conn, core.events), daemon=True)
+            reader = threading.Thread(target=_reader, args=(conn, core), daemon=True)
             readers.append((conn, reader))
             reader.start()
 
@@ -368,17 +397,17 @@ def master_run(
 
 class _LocalConn:
     """In-memory worker connection: the master sends into ``inbox``, the
-    lane posts onto the master's event queue."""
+    lane applies its messages to the batch state in its own thread."""
 
-    def __init__(self, events: queue.SimpleQueue):
-        self.events = events
+    def __init__(self, core: _MasterCore):
+        self.core = core
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def send(self, msg) -> None:
         self.inbox.put(msg)
 
     def post(self, msg) -> bool:
-        self.events.put(("msg", self, msg))
+        self.core.handle(self, msg)
         return True
 
 
@@ -391,7 +420,10 @@ def local_pool_run(
 ) -> BatchReport:
     """master_run plus ``workers`` single-slot lanes (run_lane, as in
     worker_loop) over in-memory connections, all inside this process; the
-    lanes share the cores (docking.thread_budget).
+    lanes share the cores (docking.thread_budget). Each lane applies its
+    own messages to the batch state, and this thread waits for the batch
+    to end. ``transition_hook`` is called as in master_run, in the lane
+    that caused the transition.
 
     Unlike master_run, an empty task list is accepted and yields an empty
     report. A task whose executor raises costs only itself one attempt;
@@ -405,7 +437,11 @@ def local_pool_run(
                            wall_time=0.0)
 
     core = _MasterCore(tasks, policy, transition_hook)
-    conns = [_LocalConn(core.events) for _ in range(workers)]
+    conns = [_LocalConn(core) for _ in range(workers)]
+    for i, conn in enumerate(conns):
+        # Registered here, not by its first REQUEST: a lane is in per_worker
+        # even when the others drain the batch before it starts.
+        core._register(conn, f"local-{i}")
     lanes = [
         threading.Thread(target=run_lane, daemon=True,
                          args=(conn.post, conn.inbox.get, executor, f"local-{i}", workers))

@@ -189,9 +189,12 @@ def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarra
     dropped before the inverse transform; pass it as a temporary for that
     to free it. The forward transform leaves the ligand grid as it is (it
     may be a caller's DockGrid.voxels); only the product, which this
-    function owns, is transformed in place. The product stays out of place
-    and in this operand order: in place or swapped, it can round
-    differently.
+    function owns, is transformed in place. The two operand orders of the
+    product can round differently, and NumPy picks the one that runs: its
+    temporary elision computes ``fftn(L) *= rec_hat_conj`` once the
+    transform holds 256 KiB (n >= 26), and ``rec_hat_conj * fftn(L)``
+    below that. Keep the expression as written so that both regimes, and
+    the digests that depend on them, stay as they are.
     """
     import scipy.fft
 

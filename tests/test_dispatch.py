@@ -253,6 +253,36 @@ def test_stale_task_failure_is_discarded_and_charges_nothing():
     assert state.failed_attempts == {"r1__l1": 1}
 
 
+def test_every_transition_checks_that_the_groups_partition_the_batch():
+    """A transition raises on a broken conservation or on an id it moved
+    into two groups; the one that ends the batch checks every id."""
+    ids = ["r1__l1", "r1__l2", "r1__l3"]
+    holder = object()
+
+    state = BatchState(make_tasks(ids), max_attempts=1)
+    state.pending.append(state.pending[0])  # a second copy of r1__l1
+    with pytest.raises(DispatchError, match="conservation violated"):
+        state.assign_next(holder)
+
+    # r1__l3 dropped and r1__l1 also failed: the group sizes still sum to 3
+    state = BatchState(make_tasks(ids), max_attempts=1)
+    state.assign_next(holder)
+    state.pending.pop()
+    state.permanently_failed["r1__l1"] = 1
+    with pytest.raises(DispatchError, match="task states overlap: .*r1__l1"):
+        state.record_result("r1__l1", sample_result("r1__l1"))
+
+    # r1__l2 dropped and r1__l1 both completed and failed; only r1__l3 moves
+    state = BatchState(make_tasks(ids), max_attempts=1)
+    for _ in ids:
+        state.assign_next(holder)
+    del state.in_flight["r1__l1"], state.in_flight["r1__l2"]
+    state.completed["r1__l1"] = sample_result("r1__l1")
+    state.permanently_failed["r1__l1"] = 1
+    with pytest.raises(DispatchError, match="task states overlap: .*r1__l1"):
+        state.record_result("r1__l3", sample_result("r1__l3"))
+
+
 class BatchStateMachine(RuleBasedStateMachine):
     """Random assign/result/failure/loss sequences against a model of how
     many attempts each task has been charged."""
@@ -345,7 +375,8 @@ TestBatchStateMachine.settings = settings(max_examples=150, stateful_step_count=
 @pytest.mark.parametrize("transport", ["local", "tcp"])
 def test_many_lanes_with_retried_tasks_under_fast_thread_switching(transport):
     """More lanes than cores and a 10 us switch interval: every task runs
-    once, or twice when its first attempt raises, and is counted once."""
+    once, or twice when its first attempt raises, and is counted once, and
+    no two state transitions overlap."""
     ids = [f"r1__l{i}" for i in range(120)]
     flaky = set(ids[::7])
     lock = threading.Lock()
@@ -359,19 +390,35 @@ def test_many_lanes_with_retried_tasks_under_fast_thread_switching(transport):
             raise RuntimeError("transient")
         return sample_result(task.task_id)
 
+    transition = threading.Lock()
+    transitions = []
+
+    def hook(state):
+        """Transitions run under the master's lock, so never two at once."""
+        assert transition.acquire(blocking=False), "two transitions overlap"
+        try:
+            time.sleep(0)  # yields the GIL: another lane runs while this one holds it
+            transitions.append(len(state.completed))
+        finally:
+            transition.release()
+
     policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         if transport == "local":
-            master, m = in_thread(local_pool_run, make_tasks(ids), 8, policy, executor)
+            master, m = in_thread(local_pool_run, make_tasks(ids), 8, policy, executor, hook)
         else:
             port = free_port()
-            master, m = in_thread(master_run, make_tasks(ids), ("127.0.0.1", port), policy)
-            worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=8, executor=executor,
-                                  backoff_initial=0.01, backoff_cap=0.05, max_retries=500)
-            join(worker)
-            assert w == {"value": len(ids)}
+            master, m = in_thread(master_run, make_tasks(ids), ("127.0.0.1", port), policy,
+                                  hook)
+            # two workers of 4 lanes: two reader threads apply messages
+            workers = [in_thread(worker_loop, ("127.0.0.1", port), slots=4, executor=executor,
+                                 worker_id=f"w{i}", backoff_initial=0.01, backoff_cap=0.05,
+                                 max_retries=500) for i in range(2)]
+            for worker, _ in workers:
+                join(worker)
+            assert sum(w["value"] for _, w in workers) == len(ids), workers
         join(master)
     finally:
         sys.setswitchinterval(interval)
@@ -381,6 +428,49 @@ def test_many_lanes_with_retried_tasks_under_fast_thread_switching(transport):
     assert set(report.completed) == set(ids) and report.failed == {} and report.errors == {}
     assert calls == Counter({tid: 2 if tid in flaky else 1 for tid in ids})
     assert sum(report.per_worker.values()) == len(ids)
+    assert transitions[-1] == len(ids)
+    # one per assignment, result and failure, plus the start
+    assert len(transitions) == 1 + 2 * sum(calls.values())
+
+
+class RaisesOnCall:
+    """A transition hook that raises on its ``n``-th call."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.calls = 0
+
+    def __call__(self, state: BatchState) -> None:
+        self.calls += 1
+        if self.calls == self.n:
+            raise RuntimeError(f"hook call {self.n}")
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_an_error_in_the_bookkeeping_reaches_the_caller(transport):
+    """The hook runs in a lane or reader thread; its exception is raised by
+    local_pool_run or master_run in the caller's thread, and every lane
+    ends."""
+    ids = [f"r1__l{i}" for i in range(20)]
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    hook = RaisesOnCall(5)
+
+    def executor(task):
+        return sample_result(task.task_id)
+
+    if transport == "local":
+        master, m = in_thread(local_pool_run, make_tasks(ids), 4, policy, executor, hook)
+    else:
+        port = free_port()
+        master, m = in_thread(master_run, make_tasks(ids), ("127.0.0.1", port), policy, hook)
+        worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=4, executor=executor,
+                              backoff_initial=0.01, backoff_cap=0.05, max_retries=500)
+        join(worker, STARTUP)
+        assert "error" not in w, w
+    join(master, STARTUP)
+    assert isinstance(m.get("error"), RuntimeError), m
+    assert str(m["error"]) == "hook call 5"
+    assert hook.calls == 5
 
 
 def test_master_run_ends_its_readers_while_a_worker_stays_connected():

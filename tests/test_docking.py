@@ -257,6 +257,25 @@ def test_correlation_is_bit_identical_to_the_numpy_transforms(n):
     assert got.tobytes() == numpy_correlate(want, ligand).tobytes()
 
 
+@pytest.mark.parametrize("n, first", [(25, "receptor"), (26, "ligand")])
+def test_numpy_picks_the_spectrum_products_operand_order(n, first):
+    """NumPy's temporary elision computes _correlate's product
+    rec_hat_conj * fftn(L) in place, as fftn(L) *= rec_hat_conj, once the
+    temporary holds 256 KiB: from n = 26 in complex128. The two operand
+    orders can round differently (they do on these grids), so which one
+    runs depends on n."""
+    rng = np.random.default_rng([67, n])
+    rec_hat_conj, ligand = rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal(
+        (2, n, n, n))
+    spectrum = np.fft.fftn(ligand)
+    volumes = {
+        "receptor": np.real(np.fft.ifftn(np.multiply(rec_hat_conj, spectrum))).tobytes(),
+        "ligand": np.real(np.fft.ifftn(np.multiply(spectrum, rec_hat_conj))).tobytes(),
+    }
+    assert volumes["receptor"] != volumes["ligand"]
+    assert docking._correlate(rec_hat_conj, ligand).tobytes() == volumes[first]
+
+
 def test_fft_correlate_leaves_its_input_grids_unchanged():
     rng = np.random.default_rng(61)
     n = 12
