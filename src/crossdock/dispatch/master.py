@@ -24,7 +24,6 @@ broadcast.
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import socket
@@ -34,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..docking import TSV_HEADER, DockingResult
+from ..docking import TSV_HEADER, DockingResult, splice_json
 from ..errors import DispatchError
 from . import wire
 from .tasks import DockingTask, execute_task
@@ -76,12 +75,16 @@ class BatchReport:
     def total(self) -> int:
         return len(self.task_order)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The report as sorted-key JSON: "tasks", "results" (each
+        completed result's to_json, in task order), "failed" (task_id,
+        attempts and error, by task_id), "per_worker" and "wall_time_s".
+        The poses go straight from each result's columns into the text."""
+        results = ", ".join(
+            self.completed[tid].to_json() for tid in self.task_order if tid in self.completed
+        )
+        summary = {
             "tasks": list(self.task_order),
-            "results": [
-                self.completed[tid].to_dict() for tid in self.task_order if tid in self.completed
-            ],
             "failed": [
                 {"task_id": tid, "attempts": self.failed[tid], "error": self.errors[tid]}
                 for tid in sorted(self.failed)
@@ -89,9 +92,7 @@ class BatchReport:
             "per_worker": dict(sorted(self.per_worker.items())),
             "wall_time_s": self.wall_time,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return splice_json(summary, "results", f"[{results}]")
 
     def results_tsv(self) -> str:
         lines = [TSV_HEADER]
@@ -140,16 +141,17 @@ class BatchState:
         self._hook = transition_hook
         self._check(*self.task_order)
 
-    def _check(self, *moved: str) -> None:
+    def _check(self, *moved: str, requeued: Sequence[str] = ()) -> None:
         """Raise DispatchError unless the four groups still hold every task
         once, then call the transition hook.
 
         Every transition checks conservation (the group sizes sum to the
-        batch) and that each id it ``moved`` sits in at most one of
-        in_flight, completed and permanently_failed (in none when requeued
-        to pending). __init__ checks every id of the batch; from there this
-        keeps the partition by induction at O(1) per transition, and every
-        id is checked once more when the batch becomes terminal.
+        batch), that each id it ``moved`` sits in at most one of in_flight,
+        completed and permanently_failed, and that each id it ``requeued``
+        to pending sits in none of them. __init__ checks every id of the
+        batch; from there this keeps the partition by induction at O(1) per
+        transition, and every id is checked once more when the batch
+        becomes terminal.
         """
         done = len(self.completed) + len(self.permanently_failed)
         if len(self.pending) + len(self.in_flight) + done != self.total:
@@ -164,6 +166,9 @@ class BatchState:
         for tid in moved:
             if (tid in in_flight) + (tid in completed) + (tid in failed) > 1:
                 raise DispatchError(f"task states overlap: {tid}")
+        for tid in requeued:
+            if (tid in in_flight) + (tid in completed) + (tid in failed) > 0:
+                raise DispatchError(f"task states overlap: {tid} is requeued")
         if self._hook is not None:
             self._hook(self)
 
@@ -186,9 +191,10 @@ class BatchState:
         self._check(task_id)
         return True
 
-    def _charge(self, task: DockingTask, reason: str) -> None:
+    def _charge(self, task: DockingTask, reason: str) -> bool:
         """Charge one attempt to an in-flight task: requeue it at the front,
-        or fail it permanently once max_attempts is spent."""
+        or fail it permanently once max_attempts is spent. True when
+        requeued."""
         tid = task.task_id
         del self.in_flight[tid]
         attempts = self.failed_attempts.get(tid, 0) + 1
@@ -198,8 +204,9 @@ class BatchState:
             self.permanently_failed[tid] = attempts
             log.warning("task %s permanently failed after %d attempts: %s",
                         tid, attempts, reason)
-        else:
-            self.pending.appendleft(task)
+            return False
+        self.pending.appendleft(task)
+        return True
 
     def task_failed(self, conn: object, task_id: str, reason: str) -> bool:
         """Charge task_id one attempt if ``conn`` holds it; True when charged.
@@ -208,8 +215,10 @@ class BatchState:
         held = self.in_flight.get(task_id)
         if held is None or held[1] is not conn:
             return False
-        self._charge(held[0], reason)
-        self._check(task_id)
+        if self._charge(held[0], reason):
+            self._check(requeued=(task_id,))
+        else:
+            self._check(task_id)
         return True
 
     def worker_lost(self, conn: object) -> list[str]:
@@ -217,10 +226,11 @@ class BatchState:
         returns their ids in assignment order, which is also the order in
         which the requeued ones head ``pending``."""
         held = [task for task, c in self.in_flight.values() if c is conn]
-        for task in reversed(held):  # appendleft order: earliest assigned first
-            self._charge(task, "worker lost")
-        self._check(*(task.task_id for task in held))
-        return [task.task_id for task in held]
+        # appendleft order: earliest assigned first
+        requeued = [task.task_id for task in reversed(held) if self._charge(task, "worker lost")]
+        ids = [task.task_id for task in held]
+        self._check(*ids, requeued=requeued)
+        return ids
 
 
 class _MasterCore:

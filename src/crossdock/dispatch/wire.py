@@ -12,7 +12,10 @@ header holds "task_id", "poses" (the pose count K) and "result", the
 DockingResult fields but top_poses; then one b"\n" (compact JSON never
 holds a raw newline), then a (K, 4) little-endian int32 block of
 (rotation_index, tx, ty, tz) rows and a (K,) little-endian float64 block of
-scores, 24 bytes per pose, so scores cross bit for bit. Decoding checks
+scores, 24 bytes per pose, so scores cross bit for bit. These are the
+bytes of the result's PoseColumns, and decoding returns read-only views of
+the frame's bytes as the new result's columns, so no Pose is built on
+either side. Decoding checks
 that K is an int >= 0, that the columns are exactly 24 K bytes, that every
 translation lies in [0, grid n) and that no rotation index is negative.
 The rotation index is not checked against generate_rotations(angular_step):
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..docking import DockingResult, Pose
+from ..docking import DockingResult, PoseColumns
 from ..errors import WireError
 from ..grid import GridSpec
 from .tasks import DockingTask
@@ -120,23 +123,18 @@ def _payload(msg: Message) -> dict:
     raise WireError(f"unknown message {msg!r}")
 
 
-def _pose_columns(poses: tuple[Pose, ...]) -> bytes:
-    if not poses:
-        return b""
-    rotation, tx, ty, tz, score = zip(*poses)
-    indices = np.array((rotation, tx, ty, tz), dtype="<i4").T
-    return indices.tobytes() + np.array(score, dtype="<f8").tobytes()
+def _pose_columns(poses: PoseColumns) -> bytes:
+    return poses.indices.tobytes() + poses.scores.tobytes()
 
 
-def _read_poses(columns: bytes, k, n: int) -> tuple[Pose, ...]:
+def _read_poses(columns: bytes, k, n: int) -> PoseColumns:
     """The K poses packed in ``columns``, checked against grid edge n."""
     if type(k) is not int or len(columns) != _POSE_BYTES * k:  # so k >= 0
         raise WireError(f"{len(columns)} bytes of pose columns for {k!r} poses")
     indices = np.frombuffer(columns, dtype="<i4", count=4 * k).reshape(k, 4)
     if k and (indices.min() < 0 or indices[:, 1:].max() >= n):
         raise WireError(f"a pose index is negative or a translation is not below {n}")
-    scores = np.frombuffer(columns, dtype="<f8", offset=16 * k)
-    return tuple(map(Pose._make, zip(*indices.T.tolist(), scores.tolist())))
+    return PoseColumns(indices, np.frombuffer(columns, dtype="<f8", offset=16 * k))
 
 
 def encode_message(msg: Message) -> bytes:

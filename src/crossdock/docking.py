@@ -5,7 +5,11 @@ center, rasterized onto the shared grid, and correlated against the receptor
 grid over all cyclic voxel translations in one FFT pass. The best-scoring
 placements are merged into a global top-K list under a total order
 (score descending, then rotation index and translation ascending), which
-makes results independent of thread scheduling.
+makes results independent of thread scheduling. A DockingResult keeps that
+list as columns (PoseColumns): a (K, 4) int32 block of rotation index and
+translation, and a (K,) float64 score column. A Pose is built only when
+one is read, so the top-K crosses the wire and reaches report.json without
+one.
 
 The tests keep the brute-force oracle for the FFT path: a literal
 translation scan with cyclic indexing and no transforms.
@@ -32,6 +36,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -58,6 +63,7 @@ __all__ = [
     "rotate_structure",
     "DockConfig",
     "Pose",
+    "PoseColumns",
     "DockingResult",
     "dock_pair",
     "place_ligand",
@@ -302,29 +308,100 @@ class Pose(NamedTuple):
         # Total order: score descending, then indices ascending.
         return (-self.score, self.rotation_index, self.tx, self.ty, self.tz)
 
-    def to_dict(self) -> dict:
-        return self._asdict()
+
+class PoseColumns(Sequence):
+    """A read-only sequence of Pose kept as two columns: ``indices``, a
+    (K, 4) little-endian int32 array of (rotation_index, tx, ty, tz) rows,
+    and ``scores``, a (K,) little-endian float64 array. Both are
+    non-writeable views. Indexing and iteration build each Pose on demand,
+    with Python int indices and a Python float score; a slice is a
+    PoseColumns. Two are equal when their columns are equal element by
+    element (so, as for floats, a NaN score equals nothing).
+    """
+
+    __slots__ = ("indices", "scores")
+
+    def __init__(self, indices: np.ndarray, scores: np.ndarray):
+        indices = np.asarray(indices, dtype="<i4").view()
+        scores = np.asarray(scores, dtype="<f8").view()
+        if scores.ndim != 1 or indices.shape != (len(scores), 4):
+            raise ValueError(f"pose columns of shapes {indices.shape} and {scores.shape}")
+        indices.flags.writeable = scores.flags.writeable = False
+        self.indices, self.scores = indices, scores
+
+    @classmethod
+    def of(cls, poses) -> "PoseColumns":
+        """The columns of an iterable of Pose (or of 5-tuples like it)."""
+        columns = tuple(zip(*poses)) or ((),) * 5
+        return cls(np.array(columns[:4], dtype="<i4").T, np.array(columns[4], dtype="<f8"))
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PoseColumns(self.indices[i], self.scores[i])
+        return Pose(*self.indices[i].tolist(), self.scores.item(i))
+
+    def __iter__(self):
+        return map(Pose._make, zip(*self.indices.T.tolist(), self.scores.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PoseColumns):
+            return NotImplemented
+        return (np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.scores, other.scores))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which it equals.
+        return hash((self.indices.tobytes(), (self.scores + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"PoseColumns({list(self)!r})"
+
+    def to_json(self) -> str:
+        """json.dumps([p._asdict() for p in self], sort_keys=True), written
+        straight from the columns: float.__repr__ for a finite score, and
+        NaN, Infinity and -Infinity as json spells them."""
+        scores = list(map(float.__repr__, self.scores.tolist()))
+        if not np.isfinite(self.scores).all():
+            spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+            scores = [spelled.get(s, s) for s in scores]
+        pose = '{"rotation_index": %d, "score": %s, "tx": %d, "ty": %d, "tz": %d}'
+        rotation, tx, ty, tz = self.indices.T.tolist()
+        return "[" + ", ".join(map(pose.__mod__, zip(rotation, scores, tx, ty, tz))) + "]"
+
+
+def splice_json(d: dict, key: str, raw: str) -> str:
+    """json.dumps({**d, key: value}, sort_keys=True) for the value whose
+    JSON text is ``raw``: the other keys of ``d`` are dumped on either side
+    of it in sorted order, and ``raw`` is never parsed."""
+    before = json.dumps({k: v for k, v in d.items() if k < key}, sort_keys=True)[1:-1]
+    after = json.dumps({k: v for k, v in d.items() if k > key}, sort_keys=True)[1:-1]
+    return "{" + ", ".join(filter(None, (before, f"{json.dumps(key)}: {raw}", after))) + "}"
 
 
 @dataclass(frozen=True)
 class DockingResult:
+    """One docked pair. ``top_poses`` is a PoseColumns; a tuple or list of
+    Pose given to the constructor is converted once."""
+
     task_id: str
     receptor_id: str
     ligand_id: str
     grid_spec: GridSpec
     params: ScoringParams
     angular_step: float
-    top_poses: tuple[Pose, ...]
+    top_poses: PoseColumns
     best_score: float
     wall_time: float
 
-    def to_dict(self) -> dict:
-        d = self.header()
-        d["top_poses"] = [p.to_dict() for p in self.top_poses]
-        return d
+    def __post_init__(self):
+        if not isinstance(self.top_poses, PoseColumns):
+            object.__setattr__(self, "top_poses", PoseColumns.of(self.top_poses))
 
     def header(self) -> dict:
-        """to_dict without "top_poses"."""
+        """The result's JSON fields but "top_poses"."""
         return {
             "task_id": self.task_id,
             "receptor_id": self.receptor_id,
@@ -337,7 +414,7 @@ class DockingResult:
         }
 
     @classmethod
-    def from_header(cls, d: dict, top_poses: tuple[Pose, ...]) -> "DockingResult":
+    def from_header(cls, d: dict, top_poses: PoseColumns) -> "DockingResult":
         """The result whose header() is ``d``, with ``top_poses``."""
         return cls(
             task_id=d["task_id"],
@@ -352,7 +429,9 @@ class DockingResult:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The header's fields plus "top_poses", a list of pose objects
+        keyed by Pose's field names, as json.dumps(..., sort_keys=True)."""
+        return splice_json(self.header(), "top_poses", self.top_poses.to_json())
 
     def to_tsv_line(self) -> str:
         return "\t".join(
@@ -416,15 +495,14 @@ class _TopK:
         if len(best) == self.k:
             self.floor = float(self._scores[-1])
 
-    def sorted_poses(self) -> list[Pose]:
+    def sorted_poses(self) -> PoseColumns:
         if self._buffer:
             self._fold()
         n = self._n
         ri, flat = np.divmod(self._keys, n**3)
         tx, rem = np.divmod(flat, n * n)
         ty, tz = np.divmod(rem, n)
-        columns = (ri.tolist(), tx.tolist(), ty.tolist(), tz.tolist(), self._scores.tolist())
-        return list(map(Pose._make, zip(*columns)))
+        return PoseColumns(np.stack((ri, tx, ty, tz), axis=1), self._scores)
 
 
 def _best_candidates(
@@ -529,7 +607,7 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
             for ri, (idx, scores) in enumerate(pool.map(scan_rotation, range(len(rotations)))):
                 top.merge(ri, idx, scores, spec.n)
 
-    poses = tuple(top.sorted_poses())
+    poses = top.sorted_poses()
     return DockingResult(
         task_id=f"{receptor.id}__{ligand.id}",
         receptor_id=receptor.id,
@@ -538,6 +616,6 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
         params=config.params,
         angular_step=config.angular_step,
         top_poses=poses,
-        best_score=poses[0].score,
+        best_score=float(poses.scores[0]),
         wall_time=time.perf_counter() - t_start,
     )

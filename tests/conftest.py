@@ -1,5 +1,6 @@
 """Shared fixture builders: synthetic structures and the lock-and-key pair,
-and the correlation oracle pair."""
+the correlation oracle pair, and the dict forms of a result and a report
+that their JSON writers are checked against."""
 
 from __future__ import annotations
 
@@ -169,6 +170,44 @@ def sample_result(task_id: str = "r1__l1") -> DockingResult:
         grid_spec=GridSpec(8, 1.2, (0.5, -1.0, 2.25)), params=ScoringParams(),
         angular_step=90.0, top_poses=poses, best_score=12.5, wall_time=0.25,
     )
+
+
+@pytest.fixture
+def forbid_pose(monkeypatch):
+    """A call that makes building a Pose, by its constructor or by
+    Pose._make, raise AssertionError for the rest of the test."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Pose was built")
+
+    def forbid() -> None:
+        monkeypatch.setattr(Pose, "__new__", staticmethod(built))
+        monkeypatch.setattr(Pose, "_make", classmethod(built))
+
+    return forbid
+
+
+def result_dict(result: DockingResult) -> dict:
+    """A result's JSON as a dict: its header plus each pose as a dict."""
+    return {**result.header(), "top_poses": [p._asdict() for p in result.top_poses]}
+
+
+def report_dict(report) -> dict:
+    """A BatchReport's JSON as a dict; json.dumps(report_dict(r),
+    sort_keys=True) is the oracle for r.to_json()."""
+    return {
+        "tasks": list(report.task_order),
+        "results": [
+            result_dict(report.completed[tid]) for tid in report.task_order
+            if tid in report.completed
+        ],
+        "failed": [
+            {"task_id": tid, "attempts": report.failed[tid], "error": report.errors[tid]}
+            for tid in sorted(report.failed)
+        ],
+        "per_worker": dict(sorted(report.per_worker.items())),
+        "wall_time_s": report.wall_time,
+    }
 
 
 def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:

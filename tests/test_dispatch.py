@@ -3,8 +3,10 @@ either side of a connection, BatchState bookkeeping under random event
 sequences, the lanes' shared thread budget, the report's JSON, and no
 thread left running once a test ends."""
 
+import dataclasses
 import itertools
 import json
+import math
 import os
 import socket
 import sys
@@ -24,6 +26,7 @@ from hypothesis.stateful import (
 )
 
 from crossdock.dispatch import (
+    BatchReport,
     BatchState,
     DispatchPolicy,
     DockingTask,
@@ -32,10 +35,10 @@ from crossdock.dispatch import (
     wire,
     worker_loop,
 )
-from crossdock.docking import DockConfig
+from crossdock.docking import DockConfig, Pose
 from crossdock.errors import DispatchError, NoAtomsError
 
-from conftest import sample_result
+from conftest import report_dict, sample_result
 
 STARTUP = 10.0  # master startup_timeout; every wait below is bounded by it
 BAD = "r1__bad"
@@ -281,6 +284,19 @@ def test_every_transition_checks_that_the_groups_partition_the_batch():
     state.permanently_failed["r1__l1"] = 1
     with pytest.raises(DispatchError, match="task states overlap: .*r1__l1"):
         state.record_result("r1__l3", sample_result("r1__l3"))
+
+
+def test_a_requeued_task_sits_in_no_other_group():
+    """A charge that requeues an id also in completed raises, though every
+    id sits in at most one of in_flight, completed and failed."""
+    ids = ["r__a", "r__b", "r__c"]
+    holder = object()
+    state = BatchState(make_tasks(ids), max_attempts=3)
+    state.assign_next(holder)
+    state.pending.pop()  # r__c dropped: the group sizes still sum to 3
+    state.completed["r__a"] = sample_result("r__a")
+    with pytest.raises(DispatchError, match="task states overlap: r__a is requeued"):
+        state.task_failed(holder, "r__a", "boom")
 
 
 class BatchStateMachine(RuleBasedStateMachine):
@@ -597,5 +613,25 @@ def test_report_json_parses_back_to_its_dict():
     report = local_pool_run(make_tasks(["r1__l1", BAD, "r1__l2"]), 2, policy, executor)
     assert report.failed == {BAD: 1} and len(report.completed) == 2
     text = report.to_json()
-    assert json.loads(text) == report.to_json_dict()
+    assert text == json.dumps(report_dict(report), sort_keys=True)
+    assert json.loads(text) == report_dict(report)
     assert "\n" not in text
+
+
+def test_report_json_is_the_json_of_its_dict():
+    """Byte for byte, with scores json spells apart from float repr, a
+    result without poses, escaped ids and an empty report."""
+    odd = (Pose(3, 1, 2, 0, math.nan), Pose(0, 7, 7, 7, math.inf), Pose(1, 0, 0, 0, -math.inf),
+           Pose(2, 5, 6, 7, -0.0), Pose(4, 1, 1, 1, 1e-300), Pose(5, 2, 2, 2, 123456789.125))
+    completed = {
+        "r1__l1": sample_result("r1__l1"),
+        'r1__"\u00e9': dataclasses.replace(sample_result('r1__"\u00e9'), top_poses=odd),
+        "r1__l3": dataclasses.replace(sample_result("r1__l3"), top_poses=()),
+    }
+    report = BatchReport(task_order=("r1__l3", BAD, *completed), completed=completed,
+                         failed={BAD: 3}, errors={BAD: "NoAtomsError: no atoms"},
+                         per_worker={"w-2": 1, "w-1": 2}, wall_time=1.25)
+    empty = BatchReport(task_order=(), completed={}, failed={}, errors={}, per_worker={},
+                        wall_time=0.0)
+    for r in (report, empty):
+        assert r.to_json() == json.dumps(report_dict(r), sort_keys=True)

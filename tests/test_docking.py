@@ -1,13 +1,15 @@
 """Docking: a golden top-K, thread-count independence, the array top-K and
-floor pruning of the per-rotation candidates against sorted oracles, config
-parsing, the FFT correlation against its direct oracle and bit for bit
-against the NumPy transforms,
-dock_pair end to end (the lock-and-key pose, re-scoring by a direct cyclic
-sum), the array-backed Structure API, the call seams the benchmark's
-tracer patches, and that SciPy loads at the first transform only."""
+floor pruning of the per-rotation candidates against sorted oracles, the
+pose columns against a tuple of Pose and the result JSON against its dict
+form, config parsing, the FFT correlation against its direct oracle and bit
+for bit against the NumPy transforms, dock_pair end to end (the
+lock-and-key pose, re-scoring by a direct cyclic sum), the array-backed
+Structure API, the call seams the benchmark's tracer patches, and that
+SciPy loads at the first transform only."""
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -23,7 +25,9 @@ import scipy.fft
 from crossdock import docking
 from crossdock.docking import (
     DockConfig,
+    DockingResult,
     Pose,
+    PoseColumns,
     _best_candidates,
     _TopK,
     dock_pair,
@@ -35,7 +39,7 @@ from crossdock.errors import ParameterError
 from crossdock.grid import LIGAND, RECEPTOR, DockGrid, GridSpec, ScoringParams, assign_grid
 from crossdock.pdb_io import AtomRecord, Structure
 
-from conftest import direct_correlate, fft_correlate, random_structure
+from conftest import direct_correlate, fft_correlate, random_structure, result_dict
 
 # sha256 of the exact top-K lines "rotation tx ty tz score.hex()" of the
 # blob pair below at a 60 degree step, recorded with the per-atom loop
@@ -176,7 +180,7 @@ def test_array_top_k_floor_rises_only_with_k_kept_entries():
 
 def test_pose_is_a_named_tuple_with_a_dict_form():
     pose = Pose(3, 1, 2, 0, 12.5)
-    d = pose.to_dict()
+    d = pose._asdict()
     assert type(d) is dict
     assert list(d.items()) == [("rotation_index", 3), ("tx", 1), ("ty", 2), ("tz", 0),
                                ("score", 12.5)]
@@ -185,6 +189,78 @@ def test_pose_is_a_named_tuple_with_a_dict_form():
     top = _TopK(2)
     top.merge(0, np.array([5, 1]), np.array([2.0, 1.0]), 4)
     assert [type(p) for p in top.sorted_poses()] == [Pose, Pose]
+
+
+def oracle_poses(k: int) -> tuple[Pose, ...]:
+    """K seeded poses, -0.0 and both infinities among the scores."""
+    rng = np.random.default_rng(k)
+    scores = [*rng.normal(scale=50.0, size=k), -0.0, math.inf, -math.inf][-k:] if k else []
+    return tuple(Pose(int(r), int(x), int(y), int(z), float(s)) for r, (x, y, z), s in
+                 zip(rng.integers(0, 2**31, size=k), rng.integers(0, 54, size=(k, 3)), scores))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_pose_columns_are_the_sequence_of_their_poses(k):
+    oracle = oracle_poses(k)
+    columns = PoseColumns.of(oracle)
+    assert len(columns) == k
+    assert columns.indices.dtype == np.dtype("<i4") and columns.indices.shape == (k, 4)
+    assert columns.scores.dtype == np.dtype("<f8") and columns.scores.shape == (k,)
+    assert not columns.indices.flags.writeable and not columns.scores.flags.writeable
+    poses = list(columns)
+    assert [type(p) for p in poses] == [Pose] * k
+    assert all(type(v) is int for p in poses for v in p[:4])
+    assert all(type(p.score) is float for p in poses)
+    assert exact(poses) == exact(oracle)
+    for i in range(-k, k):
+        assert type(columns[i]) is Pose and exact([columns[i]]) == exact([oracle[i]])
+    for i in (k, -k - 1):
+        with pytest.raises(IndexError):
+            columns[i]
+    for part in (slice(None), slice(1, None), slice(None, -1), slice(None, None, 2),
+                 slice(None, None, -1), slice(2, 5), slice(5, 2), slice(-3, None)):
+        assert type(columns[part]) is PoseColumns
+        assert exact(columns[part]) == exact(oracle[part])
+    assert exact(reversed(columns)) == exact(reversed(oracle))
+
+
+def test_results_from_a_tuple_a_list_and_columns_are_equal_and_hash_alike():
+    oracle = oracle_poses(7)
+
+    def result(top_poses) -> DockingResult:
+        return DockingResult("r__l", "r", "l", GridSpec(54, 1.2, (0.0, 1.0, 2.0)),
+                             ScoringParams(), 15.0, top_poses, oracle[0].score, 0.5)
+
+    results = [result(oracle), result(list(oracle)), result(PoseColumns.of(oracle))]
+    assert all(type(r.top_poses) is PoseColumns for r in results)
+    assert results[0] == results[1] == results[2]
+    assert len({hash(r) for r in results}) == 1
+    # -0.0 equals 0.0, so it hashes alike; a NaN equals nothing, as a float.
+    zero = [Pose(0, 0, 0, 0, 0.0)]
+    assert result(zero) == result([Pose(0, 0, 0, 0, -0.0)])
+    assert hash(result(zero)) == hash(result([Pose(0, 0, 0, 0, -0.0)]))
+    assert result([Pose(0, 0, 0, 0, math.nan)]) != result([Pose(0, 0, 0, 0, math.nan)])
+    assert result(oracle) != result(oracle[:-1] + (oracle[-1]._replace(tz=1),))
+
+
+def test_result_json_is_the_json_of_its_dict(blob_pair):
+    rec, lig = blob_pair
+    docked = dock_pair(rec, lig, DockConfig(angular_step=60.0, threads=1))
+    specials = dataclasses.replace(docked, task_id='r"\u00e9__l', top_poses=oracle_poses(7)
+                                   + (Pose(1, 2, 3, 4, math.nan),))
+    for result in (docked, specials, dataclasses.replace(docked, top_poses=())):
+        assert result.to_json() == json.dumps(result_dict(result), sort_keys=True)
+
+
+def test_the_top_k_hands_over_columns_and_builds_no_pose(forbid_pose):
+    forbid_pose()
+    top = _TopK(3)
+    top.merge(1, np.array([5, 1]), np.array([2.0, 1.0]), 4)
+    top.merge(0, np.array([63]), np.array([2.0]), 4)
+    columns = top.sorted_poses()
+    assert type(columns) is PoseColumns
+    assert columns.indices.tolist() == [[0, 3, 3, 3], [1, 0, 1, 1], [1, 0, 0, 1]]
+    assert columns.scores.tolist() == [2.0, 2.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [{"top_k": 2.7}, {"threads": True}, {"margin_voxels": 1.5},

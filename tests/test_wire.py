@@ -1,7 +1,10 @@
 """Wire codec: round trips over a real socket pair, bit-exact RESULT pose
-columns, framing errors, decode_message raising only WireError on any
-payload, and Channel's TCP_NODELAY."""
+columns in the frames of the tuple-of-Pose encoder, results that compare
+and hash as before after a round trip, a codec that builds no Pose,
+framing errors, decode_message raising only WireError on any payload, and
+Channel's TCP_NODELAY."""
 
+import hashlib
 import json
 import math
 import socket
@@ -18,7 +21,7 @@ from crossdock.docking import DockConfig, DockingResult, Pose
 from crossdock.errors import WireError
 from crossdock.grid import GridSpec, ScoringParams
 
-from conftest import sample_result
+from conftest import result_dict, sample_result
 
 
 TASK = DockingTask("r1__l1", "r1.pdb", "l1.pdb", DockConfig(angular_step=90.0, top_k=5))
@@ -133,7 +136,7 @@ ASSIGN_PAYLOAD = payload_of(wire.Assign(TASK))
     pytest.param(payload_of(wire.Shutdown()) + b"\n" + RESULT_COLUMNS,
                  id="columns-after-shutdown"),
     pytest.param(json.dumps({"v": 1, "type": "RESULT", "task_id": "r1__l1",
-                             "result": sample_result().to_dict()}).encode(),
+                             "result": result_dict(sample_result())}).encode(),
                  id="version-1-json-result"),
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
@@ -186,6 +189,59 @@ def test_result_poses_round_trip_bit_for_bit(case):
     assert all(type(v) is int for p in got.result.top_poses for v in p[:4])
     assert all(type(p.score) is float for p in got.result.top_poses)
     assert _exact(got.result.top_poses) == _exact(poses)
+
+
+def tuple_pose_columns(poses) -> bytes:
+    """The column block as the encoder wrote it from a tuple of Pose."""
+    if not poses:
+        return b""
+    rotation, tx, ty, tz, score = zip(*poses)
+    indices = np.array((rotation, tx, ty, tz), dtype="<i4").T
+    return indices.tobytes() + np.array(score, dtype="<f8").tobytes()
+
+
+# sha256 of the RESULT frame of result_with(_seeded_poses(2000, 54, 83), 54),
+# recorded with the encoder that packed a tuple of Pose.
+FRAME_2000 = "706efa17dcd79ff85235c07caf962b8e757d7db5824f2e2230b3bce04a0206bc"
+
+
+@pytest.mark.parametrize("poses, n", [([], 8), ([Pose(7, 1, 0, 3, -0.0)], 8),
+                                      (_seeded_poses(2000, 54, 83), 54)], ids=["0", "1", "2000"])
+def test_result_frames_are_the_bytes_of_the_tuple_encoder(poses, n):
+    result = result_with(poses, n)
+    body = {"type": "RESULT", "task_id": "r1__l1", "poses": len(poses),
+            "result": result.header(), "v": 2}
+    payload = json.dumps(body, separators=(",", ":")).encode() + b"\n"
+    payload += tuple_pose_columns(poses)
+    frame = wire.encode_message(wire.Result("r1__l1", result))
+    assert frame == struct.pack(">I", len(payload)) + payload
+    if len(poses) == 2000:
+        assert hashlib.sha256(frame).hexdigest() == FRAME_2000
+
+
+@pytest.mark.parametrize("k", [0, 1, 2000])
+def test_a_result_equals_and_hashes_as_itself_after_a_round_trip(k):
+    poses = _seeded_poses(2000, 54, 83)[:k]
+    poses = [p._replace(score=0.5 * i) for i, p in enumerate(poses)]  # no NaN
+    sent = result_with(poses, 54)
+    got = wire.decode_message(payload_of(wire.Result("r1__l1", sent))).result
+    assert got == sent and hash(got) == hash(sent)
+    if k:
+        other = result_with(poses[:-1] + [poses[-1]._replace(score=-1.0)], 54)
+        assert got != other
+
+
+def test_encoding_and_decoding_a_result_builds_no_pose(forbid_pose):
+    result = result_with(_seeded_poses(2000, 54, 83), 54)
+    forbid_pose()
+    with pytest.raises(AssertionError, match="a Pose was built"):
+        result.top_poses[0]
+    got = wire.decode_message(payload_of(wire.Result("r1__l1", result))).result
+    assert len(got.top_poses) == 2000
+    assert got.top_poses.indices.tobytes() == result.top_poses.indices.tobytes()
+    assert got.top_poses.scores.tobytes() == result.top_poses.scores.tobytes()
+    assert not got.top_poses.indices.flags.writeable
+    assert not got.top_poses.scores.flags.writeable
 
 
 def test_only_a_result_carries_bytes_after_its_json():
