@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .errors import ComparisonError, ParameterError
 
@@ -33,8 +33,7 @@ __all__ = [
     "compare_instances",
     "load_catalog",
     "load_runs",
-    "bundled_catalog_path",
-    "bundled_runs_path",
+    "RUN_COLUMNS",
     "build_report",
     "render_report",
 ]
@@ -185,59 +184,59 @@ def compare_instances(
 
 # --- catalog and run-record TSV I/O -------------------------------------
 
-def bundled_catalog_path() -> Path:
-    return Path(str(resources.files("crossdock").joinpath("data/azure_catalog.tsv")))
+_DATA = Path(__file__).parent / "data"
+_CATALOG_COLUMNS = ("name", "cpu_model", "cores", "dp_peak_gflops", "gpus", "ram_gb",
+                    "rdma", "price_usd_per_hour")
+RUN_COLUMNS = ("instance", "n_instances", "wall_time_s", "n_pairs")
 
 
-def bundled_runs_path() -> Path:
-    return Path(str(resources.files("crossdock").joinpath("data/paper_runs.tsv")))
-
-
-def _data_rows(path: str | Path, expected: list[str], kind: str) -> list[tuple[str, list[str]]]:
-    """Rows of a tab-separated table whose header must be ``expected``,
-    each paired with its location "<path> line <n>" for error messages."""
+def _read_table(path: str | Path, columns: tuple[str, ...], kind: str,
+                build: Callable[..., object]) -> Iterator:
+    """``build(*cells)`` for each data row of a tab-separated table whose
+    header must be ``columns``; blank lines and "#" comments are skipped.
+    The shape of the whole table is checked before the first record is
+    built. A ValueError from ``build`` becomes a ParameterError naming the
+    file and the line."""
     header: list[str] | None = None
-    rows: list[tuple[str, list[str]]] = []
+    rows: list[tuple[int, list[str]]] = []
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in line.split("\t")]
         if header is None:
             header = cells
-            if header != expected:
-                raise ParameterError(f"{path}: expected {kind} columns {expected}, got {header}")
-        elif len(cells) != len(expected):
+            if tuple(header) != columns:
+                raise ParameterError(
+                    f"{path}: expected {kind} columns {list(columns)}, got {header}")
+        elif len(cells) != len(columns):
             raise ParameterError(f"{path} line {number}: malformed {kind} row {cells}")
         else:
-            rows.append((f"{path} line {number}", cells))
+            rows.append((number, cells))
     if header is None:
         raise ParameterError(f"{path}: empty table")
-    return rows
+    for number, cells in rows:
+        try:
+            record = build(*cells)
+        except ValueError as exc:
+            raise ParameterError(f"{path} line {number}: bad {kind} row {cells}: {exc}") from None
+        yield record
+
+
+def _instance_spec(name, cpu_model, cores, peak, gpus, ram, rdma, price) -> InstanceSpec:
+    return InstanceSpec(name, cpu_model, int(cores), float(peak), int(gpus), float(ram),
+                        rdma.lower() in ("yes", "true", "1"), float(price))
+
+
+def _run_record(instance, n_instances, wall_time_s, n_pairs) -> RunRecord:
+    return RunRecord(instance, int(n_instances), float(wall_time_s), int(n_pairs))
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, InstanceSpec]:
     """Instance catalog TSV -> name-keyed specs. None loads the bundled
     March-2017 Azure catalog."""
-    path = path or bundled_catalog_path()
-    expected = [
-        "name", "cpu_model", "cores", "dp_peak_gflops", "gpus", "ram_gb",
-        "rdma", "price_usd_per_hour",
-    ]
+    path = path or _DATA / "azure_catalog.tsv"
     catalog: dict[str, InstanceSpec] = {}
-    for where, cells in _data_rows(path, expected, "catalog"):
-        try:
-            spec = InstanceSpec(
-                name=cells[0],
-                cpu_model=cells[1],
-                cores=int(cells[2]),
-                dp_peak_gflops=float(cells[3]),
-                gpus=int(cells[4]),
-                ram_gb=float(cells[5]),
-                rdma=cells[6].lower() in ("yes", "true", "1"),
-                price_usd_per_hour=float(cells[7]),
-            )
-        except ValueError as exc:
-            raise ParameterError(f"{where}: bad catalog row {cells}: {exc}") from None
+    for spec in _read_table(path, _CATALOG_COLUMNS, "catalog", _instance_spec):
         if spec.name in catalog:
             raise ParameterError(f"{path}: duplicate instance {spec.name}")
         catalog[spec.name] = spec
@@ -245,23 +244,9 @@ def load_catalog(path: str | Path | None = None) -> dict[str, InstanceSpec]:
 
 
 def load_runs(path: str | Path | None = None) -> list[RunRecord]:
-    """Run-record TSV (the dispatcher's report format) -> records. None
-    loads the bundled published runs."""
-    path = path or bundled_runs_path()
-    expected = ["instance", "n_instances", "wall_time_s", "n_pairs"]
-    records = []
-    for where, cells in _data_rows(path, expected, "run"):
-        try:
-            record = RunRecord(
-                instance_name=cells[0],
-                n_instances=int(cells[1]),
-                wall_time_s=float(cells[2]),
-                n_pairs=int(cells[3]),
-            )
-        except ValueError as exc:
-            raise ParameterError(f"{where}: bad run row {cells}: {exc}") from None
-        records.append(record)
-    return records
+    """Run-record TSV (RUN_COLUMNS, as BatchReport.run_record_tsv writes
+    it) -> records. None loads the bundled published runs."""
+    return list(_read_table(path or _DATA / "paper_runs.tsv", RUN_COLUMNS, "run", _run_record))
 
 
 # --- full analysis report ------------------------------------------------

@@ -114,9 +114,9 @@ class BatchReport:
 
     def run_record_tsv(self, instance_name: str, n_instances: int) -> str:
         """One run record in the analyzer's ingest format."""
-        header = "instance\tn_instances\twall_time_s\tn_pairs"
+        from ..costmodel import RUN_COLUMNS  # here, so that a worker never loads the analyzer
         row = f"{instance_name}\t{n_instances}\t{self.wall_time:.3f}\t{len(self.completed)}"
-        return header + "\n" + row + "\n"
+        return "\t".join(RUN_COLUMNS) + "\n" + row + "\n"
 
 
 class BatchState:
@@ -366,8 +366,8 @@ def master_run(
     lock, so calls never overlap; it must not block or call back into the
     dispatch. An exception it raises ends the batch and is raised here, as
     is a DispatchError from the bookkeeping. Raises DispatchError when the
-    endpoint cannot be bound or no worker connects within
-    ``policy.startup_timeout``.
+    task list is empty, when the endpoint cannot be bound or when no worker
+    connects within ``policy.startup_timeout``.
     """
     policy = policy or DispatchPolicy()
     core = _MasterCore(tasks, policy, transition_hook)
@@ -401,7 +401,7 @@ def master_run(
         for conn, reader in readers:
             conn.shutdown()  # wakes the reader if blocked in recv; close does not
             reader.join(timeout=5)
-            conn.sock.close()
+            conn.close()
     return report
 
 
@@ -435,17 +435,12 @@ def local_pool_run(
     to end. ``transition_hook`` is called as in master_run, in the lane
     that caused the transition.
 
-    Unlike master_run, an empty task list is accepted and yields an empty
-    report. A task whose executor raises costs only itself one attempt;
-    its lane keeps serving.
+    As in master_run, an empty task list is a DispatchError. A task whose
+    executor raises costs only itself one attempt; its lane keeps serving.
     """
     if workers < 1:
         raise DispatchError(f"workers must be >= 1, got {workers}")
     policy = policy or DispatchPolicy()
-    if not tasks:
-        return BatchReport(task_order=(), completed={}, failed={}, errors={}, per_worker={},
-                           wall_time=0.0)
-
     core = _MasterCore(tasks, policy, transition_hook)
     conns = [_LocalConn(core) for _ in range(workers)]
     for i, conn in enumerate(conns):

@@ -28,13 +28,15 @@ every message of another version. Version 1 sent RESULT poses as JSON, so
 masters and workers must be upgraded together.
 
 Channel is one end of a connection, the same class on the master and the
-worker, with three calls: send, receive and shutdown. Sends and receives
-each have their own lock, so several threads (a worker's lanes) can share
-one channel: they take turns on receive, one whole frame each. receive
-returns None at EOF, on a malformed frame (a HELLO from a worker that
-predates registration by REQUEST is one) and once a failed send or a
-shutdown has ended the connection. On TCP it turns Nagle's algorithm off,
-so that a small frame is not held back waiting for the ACK of the last one.
+worker, and the only reader and writer of frames, with four calls: send,
+receive, shutdown and close. Sends and receives each have their own lock,
+so several threads (a worker's lanes) can share one channel: they take
+turns on receive, one whole frame each. receive returns None at EOF, on a
+malformed, oversized or truncated frame (a HELLO from a worker that
+predates registration by REQUEST is malformed) and once a failed send or a
+shutdown has ended the connection; a frame queued behind a bad one is
+never returned. On TCP it turns Nagle's algorithm off, so that a small
+frame is not held back waiting for the ACK of the last one.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ __all__ = [
     "Message",
     "encode_message",
     "decode_message",
-    "send_message",
-    "recv_message",
     "Channel",
 ]
 
@@ -180,36 +180,13 @@ def decode_message(payload: bytes) -> Message:
         raise WireError(f"malformed payload: {type(exc).__name__}: {exc}") from None
 
 
-def send_message(sock: socket.socket, msg: Message) -> None:
-    sock.sendall(encode_message(msg))
-
-
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Exactly ``count`` bytes, or b"" on EOF before the first of them."""
+    """``count`` bytes, or fewer when the peer closes first."""
     chunks, got = [], 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
-            if got:
-                raise WireError("connection closed mid-frame")
-            return b""
+    while got < count and (chunk := sock.recv(count - got)):
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
-
-
-def recv_message(sock: socket.socket) -> Message | None:
-    """Read one framed message; None on clean EOF before a frame starts."""
-    header = _recv_exact(sock, _LEN.size)
-    if not header:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    payload = _recv_exact(sock, length)
-    if len(payload) < length:
-        raise WireError("connection closed mid-frame")
-    return decode_message(payload)
 
 
 class Channel:
@@ -222,36 +199,58 @@ class Channel:
         self.peer = peer
         self._send_lock = threading.Lock()
         self._receive_lock = threading.Lock()
+        self._ended = False  # receive returns None from here on
 
     def send(self, msg: Message) -> bool:
         """Send one frame; False, with the socket shut down, once the
         connection is gone."""
+        frame = encode_message(msg)
         try:
             with self._send_lock:
-                send_message(self.sock, msg)
+                self.sock.sendall(frame)
             return True
         except OSError:
             self.shutdown()  # ends receive(), so the reader sees the loss
             return False
 
     def receive(self) -> Message | None:
-        """The next frame; None at EOF, on a socket error or on a malformed
-        frame, which is logged and shuts the connection down so that the
-        peer sees it end. Once it has returned None, it always does."""
-        try:
-            with self._receive_lock:
-                return recv_message(self.sock)
-        except WireError as exc:
-            log.warning("dropping connection %s: %s", self.peer, exc)
-            self.shutdown()
-        except OSError:
-            pass
-        return None
+        """The next frame; None at EOF, on a socket error or on a malformed,
+        oversized or truncated frame, which is logged and shuts the
+        connection down so that the peer sees it end. Once it has returned
+        None, it always does."""
+        with self._receive_lock:
+            if self._ended:
+                return None
+            try:
+                prefix = _recv_exact(self.sock, _LEN.size)
+                if len(prefix) == _LEN.size:
+                    (length,) = _LEN.unpack(prefix)
+                    if length > MAX_FRAME_BYTES:
+                        raise WireError(
+                            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
+                    payload = _recv_exact(self.sock, length)
+                    if len(payload) == length:
+                        return decode_message(payload)
+                if prefix:
+                    raise WireError("connection closed mid-frame")
+            except WireError as exc:
+                log.warning("dropping connection %s: %s", self.peer, exc)
+                self.shutdown()
+            except OSError:
+                pass
+            self._ended = True
+            return None
 
     def shutdown(self) -> None:
         """Wake a blocked reader and end the connection; close() alone does
         not wake a recv blocked in another thread."""
+        self._ended = True
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def close(self) -> None:
+        """End the connection and release its socket."""
+        self.shutdown()
+        self.sock.close()

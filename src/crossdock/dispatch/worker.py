@@ -135,8 +135,7 @@ def worker_loop(
         for t in lanes:
             t.join()
     finally:
-        channel.shutdown()
-        channel.sock.close()
+        channel.close()
 
     completed = sum(delivered)
     log.info("worker %s done: %d task(s) completed", worker_id, completed)

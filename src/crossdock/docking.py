@@ -415,17 +415,20 @@ class DockingResult:
 
     @classmethod
     def from_header(cls, d: dict, top_poses: PoseColumns) -> "DockingResult":
-        """The result whose header() is ``d``, with ``top_poses``."""
+        """The result whose header() is ``d``, with ``top_poses``. An id
+        that is not a string, or a number field that is not a JSON number,
+        is a ValueError."""
+        ids = d["task_id"], d["receptor_id"], d["ligand_id"]
+        if not all(type(i) is str for i in ids):
+            raise ValueError(f"result ids must be strings, got {ids!r}")
         return cls(
-            task_id=d["task_id"],
-            receptor_id=d["receptor_id"],
-            ligand_id=d["ligand_id"],
+            *ids,
             grid_spec=GridSpec.from_dict(d["grid"]),
             params=ScoringParams.from_dict(d["params"]),
-            angular_step=float(d["angular_step"]),
+            angular_step=float_field(d["angular_step"]),
             top_poses=top_poses,
-            best_score=float(d["best_score"]),
-            wall_time=float(d["wall_time"]),
+            best_score=float_field(d["best_score"]),
+            wall_time=float_field(d["wall_time"]),
         )
 
     def to_json(self) -> str:

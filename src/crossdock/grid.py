@@ -89,16 +89,19 @@ class ScoringParams:
 
 
 def int_field(value) -> int:
-    """A config value read as an int: a bool or a non-integral number is a
-    ValueError, where int() would read True as 1 and truncate 2.7 to 2."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON value read as an int: anything but an int or an integral
+    float is a ValueError, where int() would read True as 1, "54" as 54 and
+    truncate 2.7 to 2."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def float_field(value) -> float:
-    """A config value read as a float: a bool is a ValueError."""
-    if isinstance(value, bool):
+    """A JSON value read as a float: anything but an int or a float (a
+    bool, a string) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
@@ -148,7 +151,8 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
         ox, oy, oz = d["origin"]
-        return cls(n=int(d["n"]), pitch=float(d["pitch"]), origin=(float(ox), float(oy), float(oz)))
+        return cls(n=int_field(d["n"]), pitch=float_field(d["pitch"]),
+                   origin=(float_field(ox), float_field(oy), float_field(oz)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -144,20 +143,14 @@ def _parse_coord(line: str, col: slice, line_no: int, axis: str) -> float:
     return value
 
 
-def parse_pdb(text: str | Iterable[str], id: str, source_path: str = "") -> Structure:
-    """Parse ATOM records out of PDB text.
+def parse_pdb(text: str, id: str, source_path: str = "") -> Structure:
+    """Parse ATOM records out of the PDB text of a whole file.
 
-    ``text`` may be a whole-file string or any iterable of lines. Raises
-    PdbParseError (with the 1-based line number) for a bad ATOM line and
-    NoAtomsError when no ATOM record is found.
+    Raises PdbParseError (with the 1-based line number) for a bad ATOM line
+    and NoAtomsError when no ATOM record is found.
     """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
-
     atoms: list[AtomRecord] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         record = line[:6].rstrip()
         if record == "ENDMDL":
             break

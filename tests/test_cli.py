@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossdock
-from crossdock import cli
+from crossdock import cli, costmodel
 
 from conftest import key_points, lock_points, make_structure, write_pdb
 
@@ -89,6 +89,37 @@ def test_exit_2_on_a_malformed_analyzer_table(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["analyze", "--runs", str(runs)]) == cli.EXIT_CONFIG
     assert f"{runs} line 2" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_analyze_prints_the_golden_tables_of_the_bundled_data(tmp_path, capsys):
+    """The text and the JSON of ``crossdock analyze`` on the bundled tables,
+    byte for byte: H16 scales 0.931 and NC24 0.890, NC24 speeds up 5.91x,
+    and H16's fees are 37.1 and 39.9 USD."""
+    assert cli.main(["analyze", "--json", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (DATA / "analyze_bundled.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "report.json").read_bytes() == (DATA / "analyze_bundled.json").read_bytes()
+
+
+def test_analyze_reads_the_runs_tsv_that_cross_writes(tmp_path, capsys):
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    key = write_pdb(tmp_path, make_structure("key", key_points()))
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text(f"{key}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["cross", str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+                     "--step", "90", "--top-k", "3", "--workers", "1", "--instance-name", "H16",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    wall = json.loads((out / "report.json").read_text(encoding="utf-8"))["wall_time_s"]
+    assert costmodel.load_runs(out / "runs.tsv") == [
+        costmodel.RunRecord("H16", 1, float(f"{wall:.3f}"), 1)]
+    capsys.readouterr()
+    assert cli.main(["analyze", "--runs", str(out / "runs.tsv")]) == cli.EXIT_OK
+    runs_table = capsys.readouterr().out.splitlines()[:3]
+    assert runs_table[0] == "Runs" and runs_table[2].split()[:3] == ["H16", "1", "16"]
 
 
 def test_cross_with_atomless_ligand_exits_3_and_names_the_error(tmp_path, capsys):

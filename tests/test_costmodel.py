@@ -22,7 +22,8 @@ RUNS_HEADER = "instance\tn_instances\twall_time_s\tn_pairs"
 def test_unparsable_cell_names_the_file_and_the_line(tmp_path, load, header, good, bad):
     path = tmp_path / "table.tsv"
     path.write_text(f"# comment\n{header}\n{good}\n\n{bad}\n", encoding="utf-8")
-    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))} line 5: .*'x'"):
+    with pytest.raises(ParameterError,
+                       match=rf"^{re.escape(str(path))} line 5: bad (catalog|run) row .*'x'"):
         load(path)
     path.write_text(f"{header}\n{good}\n", encoding="utf-8")
     assert len(load(path)) == 1

@@ -202,8 +202,9 @@ def test_malformed_frame_from_a_worker_charges_its_connection():
     policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
     master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
     with connect(port) as sock:
-        wire.send_message(sock, wire.Request("peer"))
-        assert isinstance(wire.recv_message(sock), wire.Assign)
+        peer = wire.Channel(sock, "master")
+        assert peer.send(wire.Request("peer"))
+        assert isinstance(peer.receive(), wire.Assign)
         send_frame(sock, DEEP_FRAME)
     join(master, STARTUP)
 
@@ -219,7 +220,7 @@ def test_malformed_frame_from_the_master_ends_the_worker():
                               executor=sample_result, worker_id="w1")
         conn, _ = server.accept()
         with conn:
-            assert wire.recv_message(conn) == wire.Request("w1")
+            assert wire.Channel(conn, "w1").receive() == wire.Request("w1")
             send_frame(conn, DEEP_FRAME)
             join(worker, STARTUP)
     assert w == {"value": 0}
@@ -497,11 +498,11 @@ def test_master_run_ends_its_readers_while_a_worker_stays_connected():
     policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
     master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
     with connect(port) as sock:
-        wire.send_message(sock, wire.Request("peer"))
-        assign = wire.recv_message(sock)
-        wire.send_message(sock, wire.Result(assign.task.task_id,
-                                            sample_result(assign.task.task_id)))
-        assert isinstance(wire.recv_message(sock), wire.Shutdown)
+        peer = wire.Channel(sock, "master")
+        assert peer.send(wire.Request("peer"))
+        assign = peer.receive()
+        assert peer.send(wire.Result(assign.task.task_id, sample_result(assign.task.task_id)))
+        assert isinstance(peer.receive(), wire.Shutdown)
         join(master, STARTUP)
         assert threads_alive_after(before) == []
     assert "error" not in m, m
@@ -530,9 +531,10 @@ def test_worker_lanes_read_the_channel_and_one_shutdown_ends_them_all():
                               executor=sample_result, worker_id="w1")
         conn, _ = server.accept()
         with conn:
-            assert [wire.recv_message(conn) for _ in range(slots)] == [wire.Request("w1")] * slots
+            master = wire.Channel(conn, "w1")
+            assert [master.receive() for _ in range(slots)] == [wire.Request("w1")] * slots
             assert threading.active_count() == before + slots + 1  # + in_thread's runner
-            wire.send_message(conn, wire.Shutdown())
+            assert master.send(wire.Shutdown())
             join(worker, STARTUP)
     assert w == {"value": 0}
 
@@ -551,18 +553,26 @@ def test_master_run_returns_as_soon_as_the_batch_ends():
         port = free_port()
         master, m = in_thread(timed_master_run, port, policy)
         with connect(port) as sock:
-            wire.send_message(sock, wire.Request("peer"))
-            assign = wire.recv_message(sock)
-            wire.send_message(sock, wire.Result(assign.task.task_id,
-                                                sample_result(assign.task.task_id)))
+            peer = wire.Channel(sock, "master")
+            assert peer.send(wire.Request("peer"))
+            assign = peer.receive()
+            assert peer.send(wire.Result(assign.task.task_id,
+                                         sample_result(assign.task.task_id)))
             sent = time.perf_counter()
-            assert isinstance(wire.recv_message(sock), wire.Shutdown)
+            assert isinstance(peer.receive(), wire.Shutdown)
             join(master, STARTUP)
         assert "error" not in m, m
         report, returned = m["value"]
         assert set(report.completed) == {"r1__l1"}
         delays.append(returned - sent)
     assert sum(delays) / len(delays) < 0.05, delays
+
+
+@pytest.mark.parametrize("run", [lambda: master_run([], ("127.0.0.1", 0)),
+                                 lambda: local_pool_run([], 2)], ids=["tcp", "local"])
+def test_an_empty_batch_is_a_dispatch_error(run):
+    with pytest.raises(DispatchError, match="^task list is empty$"):
+        run()
 
 
 def test_master_run_raises_when_no_worker_connects_in_time():

@@ -273,6 +273,14 @@ def test_config_rejects_bools_and_fractions_in_number_fields(bad):
         DockConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("bad", [{"pitch": "1.2"}, {"top_k": "5"}, {"margin_voxels": None},
+                                 {"params": {**ScoringParams().to_dict(), "atom_radius": "1.5"}}])
+def test_config_rejects_numbers_given_as_strings(bad):
+    """A config is JSON: a number field holds a JSON number, as on the wire."""
+    with pytest.raises(ParameterError, match=f"config field {next(iter(bad))!r}"):
+        DockConfig.from_dict(bad)
+
+
 @pytest.mark.parametrize("make", [lambda: DockConfig(angular_step=7),
                                   lambda: dataclasses.replace(DockConfig(), top_k=0)],
                          ids=["step-7", "replaced-top-k-0"])

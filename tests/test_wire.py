@@ -1,11 +1,12 @@
-"""Wire codec: round trips over a real socket pair, bit-exact RESULT pose
-columns in the frames of the tuple-of-Pose encoder, results that compare
-and hash as before after a round trip, a codec that builds no Pose,
-framing errors, decode_message raising only WireError on any payload, and
-Channel's TCP_NODELAY."""
+"""Wire codec: round trips through Channel over socket pairs, bit-exact
+RESULT pose columns in the frames of the tuple-of-Pose encoder, results that
+compare and hash as before after a round trip, a codec that builds no Pose,
+framing errors that end a channel, decode_message raising only WireError on
+any payload, and Channel's TCP_NODELAY."""
 
 import hashlib
 import json
+import logging
 import math
 import socket
 import struct
@@ -41,36 +42,99 @@ def pair():
         yield a, b
 
 
+def recv_bytes(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count and (chunk := sock.recv(count - len(data))):
+        data += chunk
+    return data
+
+
 def test_every_message_type_round_trips_over_a_socket(pair):
+    """A channel writes each message as its encode_message frame and reads
+    such frames back as the messages."""
     a, b = pair
+    frames = b"".join(wire.encode_message(msg) for msg in MESSAGES)
+    channel = wire.Channel(a, "b")
     for msg in MESSAGES:
-        wire.send_message(a, msg)
-    assert [wire.recv_message(b) for _ in MESSAGES] == MESSAGES
+        assert channel.send(msg)
+    assert recv_bytes(b, len(frames)) == frames
+    b.sendall(frames)
+    assert [channel.receive() for _ in MESSAGES] == MESSAGES
 
 
-def test_clean_eof_before_a_frame_returns_none(pair):
+def test_clean_eof_before_a_frame_returns_none(pair, caplog):
     a, b = pair
-    wire.send_message(a, wire.Shutdown())
+    a.sendall(wire.encode_message(wire.Shutdown()))
     a.shutdown(socket.SHUT_WR)
-    assert wire.recv_message(b) == wire.Shutdown()
-    assert wire.recv_message(b) is None
+    channel = wire.Channel(b, "a")
+    with caplog.at_level(logging.WARNING, logger=wire.__name__):
+        assert channel.receive() == wire.Shutdown()
+        assert channel.receive() is None
+        assert channel.receive() is None
+    assert not [r for r in caplog.records if r.name == wire.__name__]
+
+
+def assert_dropped(pair, caplog, reason: str) -> None:
+    """Channel.receive on the second socket returns None and logs one
+    warning, the WireError that names ``reason``; the first socket then
+    reads EOF, and receive returns None from then on, whatever is still
+    queued on the connection."""
+    a, b = pair
+    channel = wire.Channel(b, "a")
+    with caplog.at_level(logging.WARNING, logger=wire.__name__):
+        assert channel.receive() is None
+        assert channel.receive() is None
+    warnings = [r.getMessage() for r in caplog.records if r.name == wire.__name__]
+    assert len(warnings) == 1 and warnings[0].startswith("dropping connection a: ")
+    assert reason in warnings[0], warnings
+    a.settimeout(5)
+    assert a.recv(1) == b""
 
 
 @pytest.mark.parametrize("cut", [2, 4, 10])
-def test_truncated_frame_raises_wire_error(pair, cut):
+def test_truncated_frame_raises_wire_error(pair, caplog, cut):
     a, b = pair
     frame = wire.encode_message(wire.TaskFailed("r1__bad", "boom"))
     a.sendall(frame[:cut])
     a.shutdown(socket.SHUT_WR)
-    with pytest.raises(WireError):
-        wire.recv_message(b)
+    assert_dropped(pair, caplog, "connection closed mid-frame")
 
 
-def test_oversized_length_prefix_raises_wire_error(pair):
+def test_oversized_length_prefix_raises_wire_error(pair, caplog):
     a, b = pair
-    a.sendall(struct.pack(">I", wire.MAX_FRAME_BYTES + 1))
-    with pytest.raises(WireError):
-        wire.recv_message(b)
+    a.sendall(struct.pack(">I", wire.MAX_FRAME_BYTES + 1) + wire.encode_message(wire.Shutdown()))
+    assert_dropped(pair, caplog, f"exceeds the {wire.MAX_FRAME_BYTES} cap")
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b'{"v":2,"type":"HELLO","worker_id":"w","slots":1}', "unknown message type 'HELLO'"),
+    (b"[" * 100000 + b"]" * 100000, "malformed payload: RecursionError"),
+    (b"", "malformed payload: JSONDecodeError"),
+], ids=["hello", "too-deep", "empty"])
+def test_a_malformed_frame_ends_the_channel_before_the_valid_frame_behind_it(
+        pair, caplog, payload, reason):
+    a, b = pair
+    a.sendall(struct.pack(">I", len(payload)) + payload + wire.encode_message(wire.Shutdown()))
+    assert_dropped(pair, caplog, reason)
+
+
+def test_a_shut_down_channel_returns_no_queued_frame(pair):
+    a, b = pair
+    a.sendall(wire.encode_message(wire.Shutdown()))
+    channel = wire.Channel(b, "a")
+    channel.shutdown()
+    assert channel.receive() is None
+
+
+def test_a_closed_channel_releases_its_socket_and_ends_the_connection(pair):
+    a, b = pair
+    channel = wire.Channel(b, "a")
+    channel.close()
+    assert channel.receive() is None
+    assert not channel.send(wire.Shutdown())
+    assert b.fileno() == -1
+    a.settimeout(5)
+    assert a.recv(1) == b""
 
 
 def _decodes_or_wire_error(payload: bytes) -> None:
@@ -108,6 +172,20 @@ def with_header(top_poses: list[Pose] | None = None, **changes) -> bytes:
 RESULT_PAYLOAD = with_header()
 RESULT_HEADER, _, RESULT_COLUMNS = RESULT_PAYLOAD.partition(b"\n")
 ASSIGN_PAYLOAD = payload_of(wire.Assign(TASK))
+GRID = sample_result().grid_spec.to_dict()  # n = 8
+
+
+def with_result(**changes) -> bytes:
+    """RESULT_PAYLOAD with fields of its "result" header replaced."""
+    header, newline, columns = RESULT_PAYLOAD.partition(b"\n")
+    body = json.loads(header)
+    body["result"].update(changes)
+    return json.dumps(body, separators=(",", ":")).encode() + newline + columns
+
+
+def test_a_result_payload_with_its_own_header_fields_decodes():
+    assert wire.decode_message(with_result(**sample_result().header())) == \
+        wire.Result("r1__l1", sample_result())
 
 
 @pytest.mark.parametrize("payload", [
@@ -138,6 +216,15 @@ ASSIGN_PAYLOAD = payload_of(wire.Assign(TASK))
     pytest.param(json.dumps({"v": 1, "type": "RESULT", "task_id": "r1__l1",
                              "result": result_dict(sample_result())}).encode(),
                  id="version-1-json-result"),
+    pytest.param(with_result(grid={**GRID, "n": 8.9}), id="grid-n-fraction"),
+    pytest.param(with_result(grid={**GRID, "n": "8"}), id="grid-n-string"),
+    pytest.param(with_result(grid={**GRID, "n": True}), id="grid-n-bool"),
+    pytest.param(with_result(grid={**GRID, "pitch": "1.2"}), id="grid-pitch-string"),
+    pytest.param(with_result(grid={**GRID, "origin": [0.5, "-1.0", 2.25]}),
+                 id="grid-origin-string"),
+    pytest.param(with_result(task_id=7), id="result-task-id-int"),
+    pytest.param(with_result(receptor_id=None), id="result-receptor-id-null"),
+    pytest.param(with_result(ligand_id=["l1"]), id="result-ligand-id-list"),
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
     with pytest.raises(WireError):
