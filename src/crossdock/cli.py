@@ -128,7 +128,13 @@ def _write_batch_outputs(report, receptor_ids, ligand_ids, out_dir: Path,
     _atomic_write(out_dir / "matrix.tsv", report.score_matrix_tsv(receptor_ids, ligand_ids))
     _atomic_write(out_dir / "results.tsv", report.results_tsv())
     _atomic_write(out_dir / "report.json", report.to_json() + "\n")
-    _atomic_write(out_dir / "runs.tsv", report.run_record_tsv(instance_name, n_instances))
+    runs = out_dir / "runs.tsv"
+    record = report.run_record_tsv(instance_name, n_instances)
+    if record is None:
+        runs.unlink(missing_ok=True)  # a stale record would price another run
+        print(f"no pair completed, so no run record: {runs} not written", file=sys.stderr)
+    else:
+        _atomic_write(runs, record)
 
 
 def cmd_dock(args: argparse.Namespace) -> int:

@@ -112,10 +112,18 @@ class BatchReport:
             lines.append("\t".join(row))
         return "\n".join(lines) + "\n"
 
-    def run_record_tsv(self, instance_name: str, n_instances: int) -> str:
-        """One run record in the analyzer's ingest format."""
+    def run_record_tsv(self, instance_name: str, n_instances: int) -> str | None:
+        """One run record in the analyzer's ingest format, or None when no
+        pair completed: the analyzer takes only positive counts and times.
+        The wall time has 3 decimals, or 3 significant digits where 3
+        decimals would read 0."""
         from ..costmodel import RUN_COLUMNS  # here, so that a worker never loads the analyzer
-        row = f"{instance_name}\t{n_instances}\t{self.wall_time:.3f}\t{len(self.completed)}"
+        if not self.completed or self.wall_time <= 0:
+            return None
+        wall = f"{self.wall_time:.3f}"
+        if float(wall) == 0:
+            wall = f"{self.wall_time:.3g}"
+        row = f"{instance_name}\t{n_instances}\t{wall}\t{len(self.completed)}"
         return "\t".join(RUN_COLUMNS) + "\n" + row + "\n"
 
 

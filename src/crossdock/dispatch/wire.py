@@ -15,12 +15,14 @@ holds a raw newline), then a (K, 4) little-endian int32 block of
 scores, 24 bytes per pose, so scores cross bit for bit. These are the
 bytes of the result's PoseColumns, and decoding returns read-only views of
 the frame's bytes as the new result's columns, so no Pose is built on
-either side. Decoding checks
-that K is an int >= 0, that the columns are exactly 24 K bytes, that every
+either side. Decoding checks that every task id is a string, that K is
+an int >= 0, that the columns are exactly 24 K bytes, that every
 translation lies in [0, grid n) and that no rotation index is negative.
 The rotation index is not checked against generate_rotations(angular_step):
 the step comes from the peer, and a hostile one would make the decoder
-build a huge rotation set.
+build a huge rotation set. Nor is a RESULT's task_id checked against its
+result's own: the benchmark's no-op executor returns one canned result for
+every task.
 
 A malformed payload, whatever its bytes, raises WireError and nothing else:
 bytes after the JSON of any other message are malformed too, and so is
@@ -137,6 +139,13 @@ def _read_poses(columns: bytes, k, n: int) -> PoseColumns:
     return PoseColumns(indices, np.frombuffer(columns, dtype="<f8", offset=16 * k))
 
 
+def _task_id(body: dict) -> str:
+    task_id = body["task_id"]
+    if type(task_id) is not str:
+        raise WireError(f"task_id {task_id!r} is not a string")
+    return task_id
+
+
 def encode_message(msg: Message) -> bytes:
     body = _payload(msg)
     body["v"] = PROTOCOL_VERSION
@@ -161,8 +170,7 @@ def decode_message(payload: bytes) -> Message:
                 raise WireError("a RESULT without its pose columns")
             d = body["result"]
             poses = _read_poses(columns, body["poses"], GridSpec.from_dict(d["grid"]).n)
-            return Result(task_id=str(body["task_id"]),
-                          result=DockingResult.from_header(d, poses))
+            return Result(task_id=_task_id(body), result=DockingResult.from_header(d, poses))
         if newline:
             raise WireError(f"bytes after the JSON of a {kind!r} message")
         if kind == "REQUEST":
@@ -170,7 +178,7 @@ def decode_message(payload: bytes) -> Message:
         if kind == "ASSIGN":
             return Assign(task=DockingTask.from_dict(body["task"]))
         if kind == "TASK_FAILED":
-            return TaskFailed(task_id=str(body["task_id"]), error=str(body["error"]))
+            return TaskFailed(task_id=_task_id(body), error=str(body["error"]))
         if kind == "SHUTDOWN":
             return Shutdown()
         raise WireError(f"unknown message type {kind!r}")

@@ -17,16 +17,24 @@ translation scan with cyclic indexing and no transforms.
 The transforms are scipy.fft's pocketfft, the same library NumPy vendors,
 called so that the results equal np.fft.fftn/ifftn bit for bit: scipy runs
 each axis pass as one vectorized call where NumPy loops over the axes in
-Python. NumPy transforms the last axis first, hence ``axes=(2, 1, 0)``; its
-ifftn scales by 1/n on every pass, hence three one-axis inverse calls where
-one scipy.fft.ifftn would scale once by 1/n^3 and round differently. The
+Python. NumPy transforms the last axis first, hence ``axes=(2, 1, 0)`` and
+one-axis passes in that order; its ifftn scales by 1/n on every pass, hence
+three one-axis inverse calls where one scipy.fft.ifftn would scale once by
+1/n^3 and round differently. The spectra's product is written in the
+operand order of the digests, which depends on n (see _correlate). The
 top-K breaks ties between equal scores on the last bits of these
 transforms, so a change here that is not bit-identical moves it.
+
+The rotation scan allocates no n^3 array per rotation but the ligand grid:
+each scanning thread owns one complex128 buffer for the length of a
+dock_pair call, and the transforms, the product and the candidate
+reduction run in it. The forward transform skips the rows and slabs
+outside the rotated ligand's voxel box, which are all zero.
 
 scipy.fft (about 0.25 s and 25 MB to load) is imported at the first
 transform, not with this module: a master, an analyzer or a worker that has
 not docked yet imports this module for its records only. The transforms
-look scipy.fft.fftn and ifft up at call time.
+look scipy.fft.fftn, fft and ifft up at call time.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import functools
 import json
 import math
 import os
+import threading
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +60,7 @@ from .grid import (
     RECEPTOR,
     GridSpec,
     ScoringParams,
+    _core_box,
     assign_grid,
     choose_grid_size,
     float_field,
@@ -186,29 +196,69 @@ def _receptor_spectrum(receptor_voxels: np.ndarray) -> np.ndarray:
     return np.conj(scipy.fft.fftn(receptor_voxels, axes=(2, 1, 0)))
 
 
-def _correlate(rec_hat_conj: np.ndarray, ligand_voxels: np.ndarray) -> np.ndarray:
-    """Correlation volume of one ligand grid against _receptor_spectrum,
-    equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
-    np.fft.fftn(L))).
+def _ligand_spectrum(ligand_voxels: np.ndarray, box: tuple | None, out: np.ndarray) -> np.ndarray:
+    """FFT(L) in ``out``, an n^3 complex128 C-contiguous buffer, equal bit
+    for bit to scipy.fft.fftn(L, axes=(2, 1, 0)); L is only read.
 
-    Each pool thread holds these n^3 buffers at once, so the ligand grid is
-    dropped before the inverse transform; pass it as a temporary for that
-    to free it. The forward transform leaves the ligand grid as it is (it
-    may be a caller's DockGrid.voxels); only the product, which this
-    function owns, is transformed in place. The two operand orders of the
-    product can round differently, and NumPy picks the one that runs: its
-    temporary elision computes ``fftn(L) *= rec_hat_conj`` once the
-    transform holds 256 KiB (n >= 26), and ``rec_hat_conj * fftn(L)``
-    below that. Keep the expression as written so that both regimes, and
-    the digests that depend on them, stay as they are.
+    ``box`` is a half-open (lo, hi) lattice box outside which L is zero;
+    None means the whole lattice. The transform is pruned to it (Sorensen
+    and Burrus, IEEE Trans. Signal Process. 1993): the transform of an
+    all-zero line is zero, so the last-axis pass runs only on the box's
+    rows and the middle-axis pass only on its slabs, and the first-axis
+    pass runs in full. Each line is transformed as fftn transforms it.
+    scipy.fft transforms a complex128 array in place when overwrite_x is
+    set, so every pass runs in ``out``.
     """
     import scipy.fft
 
-    spectrum = rec_hat_conj * scipy.fft.fftn(ligand_voxels, axes=(2, 1, 0))
+    n = len(ligand_voxels)
+    (x0, y0, _), (x1, y1, _) = box if box is not None else ((0, 0, 0), (n, n, n))
+    out[:x0] = out[x1:] = 0
+    out[x0:x1, :y0] = out[x0:x1, y1:] = 0
+    rows = out[x0:x1, y0:y1]
+    rows[...] = ligand_voxels[x0:x1, y0:y1]
+    scipy.fft.fft(rows, axis=2, overwrite_x=True)
+    scipy.fft.fft(out[x0:x1], axis=1, overwrite_x=True)
+    scipy.fft.fft(out, axis=0, overwrite_x=True)
+    return out
+
+
+# From this size of a temporary b on, NumPy's elision runs a * b as b *= a.
+_ELISION_BYTES = 256 * 1024
+
+
+def _correlate(
+    rec_hat_conj: np.ndarray,
+    ligand_voxels: np.ndarray,
+    box: tuple | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Correlation volume of one ligand grid against _receptor_spectrum,
+    equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
+    np.fft.fftn(L))): a real view into ``out``, the n^3 complex128
+    C-contiguous buffer that the transforms and the product run in (a new
+    one when None). ``box`` prunes the forward transform, as in
+    _ligand_spectrum. A ligand grid passed as a temporary is freed before
+    the inverse transforms.
+
+    The two operand orders of the product can round differently, so the
+    order is written out as NumPy's temporary elision ran it in the
+    expression ``rec_hat_conj * fftn(L)`` that the digests were recorded
+    with: the spectrum times the receptor once the spectrum holds 256 KiB
+    (n >= 26), the receptor times the spectrum below that.
+    """
+    import scipy.fft
+
+    spectrum = _ligand_spectrum(
+        ligand_voxels, box, np.empty_like(rec_hat_conj) if out is None else out)
     del ligand_voxels
+    if spectrum.nbytes >= _ELISION_BYTES:
+        np.multiply(spectrum, rec_hat_conj, out=spectrum)
+    else:
+        np.multiply(rec_hat_conj, spectrum, out=spectrum)
     for axis in (2, 1, 0):
-        spectrum = scipy.fft.ifft(spectrum, axis=axis, overwrite_x=True)
-    return np.real(spectrum)
+        scipy.fft.ifft(spectrum, axis=axis, overwrite_x=True)
+    return spectrum.real
 
 
 # The thread budget of the dispatch lane running in this thread; 0 outside
@@ -520,7 +570,7 @@ def _best_candidates(
     enter the top-K, so dropping it first changes no merged result, at any
     thread count. With a floor of -inf every entry is a candidate.
     """
-    flat = volume.ravel()
+    flat = volume.reshape(-1)  # a view: the volume is an n^3 real view of a buffer
     k = min(k, flat.size)
     sel = np.flatnonzero(flat >= floor)
     neg = -flat[sel]
@@ -592,12 +642,18 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     rec_grid = assign_grid(receptor, spec, RECEPTOR, config.params)
     rec_hat_conj = _receptor_spectrum(rec_grid.voxels)
     top = _TopK(config.top_k)
+    local = threading.local()  # each scanning thread's buffer, for this call only
 
     def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
         rotated = rotate_structure(centered, rotations[ri], lig_center)
-        # The ligand grid is passed as a temporary so that _correlate frees it.
+        buffer = getattr(local, "buffer", None)
+        if buffer is None:
+            buffer = local.buffer = np.empty_like(rec_hat_conj)
         volume = _correlate(
-            rec_hat_conj, assign_grid(rotated, spec, LIGAND, config.params).voxels
+            rec_hat_conj,
+            assign_grid(rotated, spec, LIGAND, config.params).voxels,
+            _core_box(rotated.coords(), spec, config.params.atom_radius),
+            buffer,
         )
         return _best_candidates(volume, config.top_k, top.floor)
 

@@ -18,6 +18,7 @@ transforms stay in their fast radix paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,6 +197,33 @@ def choose_grid_size(
 _CORE_MASK_CHUNK_CELLS = 1 << 18
 
 
+def _extents(xyz: np.ndarray, spec: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per atom and axis, the first and last lattice index whose voxel
+    center can lie within ``radius`` of the atom center (last < first when
+    none can)."""
+    origin = np.asarray(spec.origin)
+    lo = np.ceil((xyz - radius - origin) / spec.pitch).astype(np.int64)
+    hi = np.floor((xyz + radius - origin) / spec.pitch).astype(np.int64)
+    return lo, hi
+
+
+def _core_box(xyz: np.ndarray, spec: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The half-open lattice box [lo, hi) per axis that holds every voxel
+    _core_mask can set for atoms at ``xyz``: no voxel outside it is set."""
+    lo, hi = _extents(xyz, spec, radius)
+    return lo.min(axis=0), hi.max(axis=0) + 1
+
+
+@functools.lru_cache
+def _stencil(m: int, n: int) -> np.ndarray:
+    """Flat offsets, on an n^3 lattice, of the m^3 cube from its corner."""
+    steps = np.arange(m)
+    ox, oy, oz = np.meshgrid(steps, steps, steps, indexing="ij")
+    stencil = ((ox * n + oy) * n + oz).ravel()
+    stencil.flags.writeable = False
+    return stencil
+
+
 def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     """Boolean (n,n,n) mask of voxels whose center lies within ``radius`` of
     any atom center. Raises GridOverflowError (naming the serial of the
@@ -212,8 +240,7 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     n, pitch = spec.n, spec.pitch
     origin = np.asarray(spec.origin)
     xyz = s.coords()
-    lo = np.ceil((xyz - radius - origin) / pitch).astype(np.int64)
-    hi = np.floor((xyz + radius - origin) / pitch).astype(np.int64)
+    lo, hi = _extents(xyz, spec, radius)
     outside = np.flatnonzero((lo < 0).any(axis=1) | (hi > n - 1).any(axis=1))
     if outside.size:
         raise GridOverflowError(s.atoms[outside[0]].serial,
@@ -223,8 +250,7 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     if m < 1:
         return mask.reshape(n, n, n)  # no sphere catches a voxel center
     steps = np.arange(m)
-    ox, oy, oz = np.meshgrid(steps, steps, steps, indexing="ij")
-    stencil = ((ox * n + oy) * n + oz).ravel()
+    stencil = _stencil(m, n)
     r2 = radius * radius
     chunk = max(1, _CORE_MASK_CHUNK_CELLS // m**3)
     for a in range(0, len(xyz), chunk):

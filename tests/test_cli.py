@@ -1,6 +1,7 @@
-"""CLI: exit codes 0 to 3, and for the batch command that a bad input fails
+"""CLI: exit codes 0 to 3, for the batch command that a bad input fails
 only its own tasks, with the failure reason in report.json and on standard
-error, one line per failed attempt."""
+error, one line per failed attempt, and that the run record it writes is
+one the analyzer reads."""
 
 import json
 import logging
@@ -13,8 +14,9 @@ import pytest
 
 import crossdock
 from crossdock import cli, costmodel
+from crossdock.dispatch import BatchReport
 
-from conftest import key_points, lock_points, make_structure, write_pdb
+from conftest import key_points, lock_points, make_structure, sample_result, write_pdb
 
 
 def test_exit_0_on_success(capsys):
@@ -141,6 +143,36 @@ def test_cross_with_atomless_ligand_exits_3_and_names_the_error(tmp_path, capsys
     assert failed["task_id"] == "lock__empty" and failed["attempts"] == 3
     assert failed["error"].startswith("NoAtomsError")
     assert "failed after 3 attempts: lock__empty: NoAtomsError" in capsys.readouterr().err
+
+
+def test_cross_with_no_completed_pair_writes_no_run_record(tmp_path, capsys):
+    """The analyzer rejects a run record of 0 pairs, so cross writes none
+    and removes a stale one."""
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "noatoms.pdb").write_text("REMARK no atom records\nEND\n", encoding="utf-8")
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text("noatoms.pdb\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.tsv").write_text("stale\n", encoding="utf-8")
+    code = cli.main(["cross", str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+                     "--step", "90", "--workers", "1", "--out-dir", str(out)])
+    assert code == cli.EXIT_FAILED_TASKS
+    assert not (out / "runs.tsv").exists()
+    assert f"no pair completed, so no run record: {out / 'runs.tsv'} not written" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wall, written", [(0.002, "0.002"), (0.0004, "0.0004"),
+                                           (1234.56789, "1234.568")])
+def test_a_run_record_of_a_short_batch_round_trips_through_load_runs(tmp_path, wall, written):
+    report = BatchReport(("a__b", "a__c"), {"a__b": sample_result("a__b")}, {"a__c": 3},
+                         {"a__c": "NoAtomsError"}, {"w": 1}, wall)
+    text = report.run_record_tsv("H16", 2)
+    assert text.splitlines()[1].split("\t") == ["H16", "2", written, "1"]
+    (tmp_path / "runs.tsv").write_text(text, encoding="utf-8")
+    assert costmodel.load_runs(tmp_path / "runs.tsv") == [
+        costmodel.RunRecord("H16", 2, float(written), 1)]
 
 
 def test_cross_results_do_not_depend_on_the_inner_threads(tmp_path, monkeypatch):

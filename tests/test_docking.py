@@ -2,7 +2,8 @@
 floor pruning of the per-rotation candidates against sorted oracles, the
 pose columns against a tuple of Pose and the result JSON against its dict
 form, config parsing, the FFT correlation against its direct oracle and bit
-for bit against the NumPy transforms, dock_pair end to end (the
+for bit against the NumPy transforms, the box-pruned forward transform bit
+for bit against fftn, dock_pair end to end (the
 lock-and-key pose, re-scoring by a direct cyclic sum), the array-backed
 Structure API, the call seams the benchmark's tracer patches, and that
 SciPy loads at the first transform only."""
@@ -360,6 +361,58 @@ def test_numpy_picks_the_spectrum_products_operand_order(n, first):
     assert docking._correlate(rec_hat_conj, ligand).tobytes() == volumes[first]
 
 
+def pruning_cases(n: int) -> dict:
+    """(lo, hi) boxes by name, half-open lattice boxes on an n^3 grid."""
+    c = n // 2
+    return {
+        "centered": ((c - 5, c - 4, c - 6), (c + 4, c + 5, c + 3)),
+        "touching-face-0": ((0, 0, 0), (7, 6, 5)),
+        "touching-face-n": ((n - 7, n - 6, n - 5), (n, n, n)),
+        "one-voxel": ((3, 4, 5), (4, 5, 6)),
+        "all-zero": ((c, c, c), (c, c, c)),
+        "full-lattice": ((0, 0, 0), (n, n, n)),
+    }
+
+
+def grid_in_box(rng: np.random.Generator, n: int, box) -> np.ndarray:
+    """An n^3 complex grid, random inside ``box`` and zero outside it."""
+    grid = np.zeros((n, n, n), dtype=np.complex128)
+    inside = tuple(slice(a, b) for a, b in zip(*box))
+    shape = grid[inside].shape
+    grid[inside] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return grid
+
+
+@pytest.mark.parametrize("n", [24, 25, 26, 27, 30, 45, 54])
+def test_pruned_forward_transform_is_fftn_bit_for_bit(n):
+    """The ligand spectrum pruned to the ligand's box equals the full
+    fftn byte for byte, in a buffer that held other values before."""
+    rng = np.random.default_rng([71, n])
+    for name, box in pruning_cases(n).items():
+        grid = grid_in_box(rng, n, box)
+        before = grid.tobytes()
+        out = np.full((n, n, n), np.nan + 1j * np.nan)
+        got = docking._ligand_spectrum(grid, box, out)
+        assert got is out
+        assert got.tobytes() == scipy.fft.fftn(grid, axes=(2, 1, 0)).tobytes(), name
+        assert grid.tobytes() == before, name
+
+
+@pytest.mark.parametrize("n", [25, 26])
+def test_a_pruned_correlation_equals_the_unpruned_one_bit_for_bit(n):
+    """On either side of the operand-order switch at n = 26, and in one
+    buffer reused from box to box."""
+    rng = np.random.default_rng([73, n])
+    rec_hat_conj = docking._receptor_spectrum(
+        rng.choice([0.0, 1.0, -15.0], size=(n, n, n)) + 0j)
+    out = np.empty((n, n, n), dtype=np.complex128)
+    for name, box in pruning_cases(n).items():
+        ligand = grid_in_box(rng, n, box).real.round() + 0j
+        want = docking._correlate(rec_hat_conj, ligand).tobytes()
+        assert numpy_correlate(rec_hat_conj, ligand).tobytes() == want, name
+        assert docking._correlate(rec_hat_conj, ligand, box, out).tobytes() == want, name
+
+
 def test_fft_correlate_leaves_its_input_grids_unchanged():
     rng = np.random.default_rng(61)
     n = 12
@@ -454,8 +507,9 @@ class TestStructureArrays:
 def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_pair):
     """A tracer patches these module attributes and divides by the ligand
     assign_grid count; dock_pair must keep calling them. The transforms are
-    scipy.fft.fftn (one per rotation plus the receptor's) and
-    scipy.fft.ifft (one per axis per rotation); NumPy's are not called."""
+    scipy.fft.fftn (the receptor's alone), scipy.fft.fft (the pruned
+    forward, one per axis per rotation) and scipy.fft.ifft (one per axis
+    per rotation); NumPy's are not called."""
     rec, lig = blob_pair
     rotations = len(generate_rotations(90.0))
     counts: Counter = Counter()
@@ -473,12 +527,13 @@ def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_p
     monkeypatch.setattr(docking, "rotate_structure",
                         counting(docking.rotate_structure, lambda *a: "rotate"))
     monkeypatch.setattr(scipy.fft, "fftn", counting(scipy.fft.fftn, lambda *a, **k: "fftn"))
+    monkeypatch.setattr(scipy.fft, "fft", counting(scipy.fft.fft, lambda *a, **k: "fft"))
     monkeypatch.setattr(scipy.fft, "ifft", counting(scipy.fft.ifft, lambda *a, **k: "ifft"))
     monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, lambda *a, **k: "np.fft.fftn"))
     monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, lambda *a, **k: "np.fft.ifftn"))
     dock_pair(rec, lig, DockConfig(angular_step=90.0, top_k=10, threads=threads))
     assert counts == Counter({LIGAND: rotations, RECEPTOR: 1, "rotate": rotations,
-                              "fftn": rotations + 1, "ifft": 3 * rotations})
+                              "fftn": 1, "fft": 3 * rotations, "ifft": 3 * rotations})
 
 
 LEAN_MODULES = ["crossdock", "crossdock.cli", "crossdock.costmodel",

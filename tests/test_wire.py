@@ -223,6 +223,9 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
     pytest.param(with_result(grid={**GRID, "origin": [0.5, "-1.0", 2.25]}),
                  id="grid-origin-string"),
     pytest.param(with_result(task_id=7), id="result-task-id-int"),
+    pytest.param(with_header(task_id=7), id="header-task-id-int"),
+    pytest.param(b'{"v":2,"type":"TASK_FAILED","task_id":7,"error":"e"}',
+                 id="task-failed-id-int"),
     pytest.param(with_result(receptor_id=None), id="result-receptor-id-null"),
     pytest.param(with_result(ligand_id=["l1"]), id="result-ligand-id-list"),
 ])
