@@ -16,9 +16,13 @@ queue, or recorded as permanently failed with its last failure reason once
 ``max_attempts`` is spent. There is no timeout-based straggler
 reassignment.
 
-Every REQUEST is parked and parked lanes are served in arrival order: at
-once while the queue holds a task, otherwise by a requeued task (any
-in-flight task may yet fail) or, at batch completion, by the SHUTDOWN
+A lane asks for work with its first REQUEST and then with each RESULT or
+TASK_FAILED it sends, so every such message from a registered connection,
+stale or not, parks it, in the same pass through the lock that records the
+message. A reply from a connection that never sent a REQUEST is recorded
+or discarded as usual but never parked. Parked lanes are served in arrival
+order: at once while the queue holds a task, otherwise by a requeued task
+(any in-flight task may yet fail) or, at batch completion, by the SHUTDOWN
 broadcast.
 """
 
@@ -255,7 +259,7 @@ class _MasterCore:
         self.policy = policy
         self.workers: dict[object, str] = {}  # conn -> worker_id
         self.per_worker: dict[str, int] = {}
-        self.parked: deque[object] = deque()  # conns, one per REQUEST
+        self.parked: deque[object] = deque()  # conns, one per lane awaiting a task
         # Lanes may start serving before run() is called.
         self._started = self._idle_since = time.monotonic()
         # The lock guards everything here. run() waits on the condition
@@ -286,11 +290,10 @@ class _MasterCore:
             if not self.workers:
                 self._idle_since = time.monotonic()
             self._serve_parked()
-        elif isinstance(msg, wire.Request):
+            return
+        if isinstance(msg, wire.Request):
             if conn not in self.workers:
                 self._register(conn, msg.worker_id)
-            self.parked.append(conn)
-            self._serve_parked()
         elif isinstance(msg, wire.Result):
             if self.state.record_result(msg.task_id, msg.result):
                 worker_id = self.workers.get(conn, "unknown")
@@ -298,12 +301,14 @@ class _MasterCore:
             else:
                 log.info("discarding duplicate/stale result for %s", msg.task_id)
         elif isinstance(msg, wire.TaskFailed):
-            if self.state.task_failed(conn, msg.task_id, msg.error):
-                self._serve_parked()
-            else:
+            if not self.state.task_failed(conn, msg.task_id, msg.error):
                 log.info("discarding stale failure for %s", msg.task_id)
         else:
             log.warning("ignoring unexpected message %r", msg)
+            return
+        if conn in self.workers:  # the message also asks for the next task
+            self.parked.append(conn)
+            self._serve_parked()
 
     def handle(self, conn: object, msg: wire.Message | None) -> None:
         """Apply one message from ``conn``, or its close when ``msg`` is

@@ -33,12 +33,12 @@ class DockingTask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DockingTask":
-        return cls(
-            task_id=str(d["task_id"]),
-            receptor_path=str(d["receptor_path"]),
-            ligand_path=str(d["ligand_path"]),
-            config=DockConfig.from_dict(d["config"]),
-        )
+        """The task whose to_dict() is ``d``. An id or a path that is not a
+        string is a ValueError."""
+        fields = d["task_id"], d["receptor_path"], d["ligand_path"]
+        if not all(type(f) is str for f in fields):
+            raise ValueError(f"task id and paths must be strings, got {fields!r}")
+        return cls(*fields, config=DockConfig.from_dict(d["config"]))
 
 
 def _ids_for(paths: Sequence[str], side: str) -> list[str]:

@@ -2,10 +2,15 @@
 
 Framing: a 4-byte big-endian unsigned payload length, then the payload.
 Every payload starts with compact UTF-8 JSON: an object with a "type" field
-from {REQUEST, ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 2. There is
-no handshake: a worker's first REQUEST, which names it, registers it with
-the master. TASK_FAILED names a task whose executor raised and carries the
-error text. Every message but RESULT is that JSON alone.
+from {REQUEST, ASSIGN, RESULT, TASK_FAILED, SHUTDOWN} and "v": 3. There is
+no handshake. Each worker lane sends one REQUEST when it starts; the first
+one, which names the worker, registers it with the master. From then on a
+lane's reply to an ASSIGN, a RESULT or a TASK_FAILED, is also its request
+for the next task, so one task costs two frames: ASSIGN and the reply. The
+master answers each request with one ASSIGN while tasks remain, and ends
+the batch with one SHUTDOWN per connection. TASK_FAILED names a task whose
+executor raised and carries the error text. Every message but RESULT is
+that JSON alone. Ids, paths and error texts are JSON strings.
 
 A RESULT carries its poses as packed columns after the JSON header: the
 header holds "task_id", "poses" (the pose count K) and "result", the
@@ -15,8 +20,8 @@ holds a raw newline), then a (K, 4) little-endian int32 block of
 scores, 24 bytes per pose, so scores cross bit for bit. These are the
 bytes of the result's PoseColumns, and decoding returns read-only views of
 the frame's bytes as the new result's columns, so no Pose is built on
-either side. Decoding checks that every task id is a string, that K is
-an int >= 0, that the columns are exactly 24 K bytes, that every
+either side. Decoding checks that every id, path and error is a string,
+that K is an int >= 0, that the columns are exactly 24 K bytes, that every
 translation lies in [0, grid n) and that no rotation index is negative.
 The rotation index is not checked against generate_rotations(angular_step):
 the step comes from the peer, and a hostile one would make the decoder
@@ -26,8 +31,11 @@ every task.
 
 A malformed payload, whatever its bytes, raises WireError and nothing else:
 bytes after the JSON of any other message are malformed too, and so is
-every message of another version. Version 1 sent RESULT poses as JSON, so
-masters and workers must be upgraded together.
+every message of another version. Version 1 sent RESULT poses as JSON, and
+a version 2 lane sent a REQUEST before every task, so masters and workers
+must be upgraded together. Either end drops a connection at the first frame
+of another version, so a worker facing an older master ends instead of
+waiting for an ASSIGN.
 
 Channel is one end of a connection, the same class on the master and the
 worker, and the only reader and writer of frames, with four calls: send,
@@ -73,7 +81,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 256 * 1024 * 1024  # sanity bound against corrupt prefixes
 
 _LEN = struct.Struct(">I")
@@ -139,11 +147,11 @@ def _read_poses(columns: bytes, k, n: int) -> PoseColumns:
     return PoseColumns(indices, np.frombuffer(columns, dtype="<f8", offset=16 * k))
 
 
-def _task_id(body: dict) -> str:
-    task_id = body["task_id"]
-    if type(task_id) is not str:
-        raise WireError(f"task_id {task_id!r} is not a string")
-    return task_id
+def _string(body: dict, key: str) -> str:
+    value = body[key]
+    if type(value) is not str:
+        raise WireError(f"{key} {value!r} is not a string")
+    return value
 
 
 def encode_message(msg: Message) -> bytes:
@@ -170,15 +178,17 @@ def decode_message(payload: bytes) -> Message:
                 raise WireError("a RESULT without its pose columns")
             d = body["result"]
             poses = _read_poses(columns, body["poses"], GridSpec.from_dict(d["grid"]).n)
-            return Result(task_id=_task_id(body), result=DockingResult.from_header(d, poses))
+            return Result(task_id=_string(body, "task_id"),
+                          result=DockingResult.from_header(d, poses))
         if newline:
             raise WireError(f"bytes after the JSON of a {kind!r} message")
         if kind == "REQUEST":
-            return Request(worker_id=str(body["worker_id"]))
+            return Request(worker_id=_string(body, "worker_id"))
         if kind == "ASSIGN":
             return Assign(task=DockingTask.from_dict(body["task"]))
         if kind == "TASK_FAILED":
-            return TaskFailed(task_id=_task_id(body), error=str(body["error"]))
+            return TaskFailed(task_id=_string(body, "task_id"),
+                              error=_string(body, "error"))
         if kind == "SHUTDOWN":
             return Shutdown()
         raise WireError(f"unknown message type {kind!r}")

@@ -1,7 +1,8 @@
 """Worker side of dispatch: the lane loop, and the TCP worker that runs it.
 
-A lane (run_lane) loops REQUEST -> ASSIGN -> execute -> RESULT, or
-TASK_FAILED when the executor raises, and keeps serving either way.
+A lane (run_lane) sends one REQUEST when it starts, then loops ASSIGN ->
+execute -> RESULT, or TASK_FAILED when the executor raises, and keeps
+serving either way: each reply is also its request for the next task.
 worker_loop runs ``slots`` lanes over one wire.Channel; the lanes' first
 REQUESTs register the worker with the master. There is no reader thread:
 the lanes take turns on Channel.receive, and any lane may take any ASSIGN,
@@ -66,16 +67,18 @@ def run_lane(
     """Serve tasks until SHUTDOWN or the end of the connection; returns
     the number of results delivered.
 
-    ``send`` returns False once the connection is gone; ``recv`` returns
-    None at its end. ``lanes`` is the number of lanes in this process; the
-    executor runs under their shared thread budget.
+    The lane sends one REQUEST, then one RESULT or TASK_FAILED per ASSIGN,
+    which the master takes as its next request; any other message is
+    logged and skipped, and sends nothing. ``send`` returns False once the
+    connection is gone; ``recv`` returns None at its end. ``lanes`` is the
+    number of lanes in this process; the executor runs under their shared
+    thread budget.
     """
     delivered = 0
     with thread_budget(lanes):
-        while send(wire.Request(worker_id)):
-            msg = recv()
-            if msg is None or isinstance(msg, wire.Shutdown):
-                break
+        if not send(wire.Request(worker_id)):
+            return 0
+        while (msg := recv()) is not None and not isinstance(msg, wire.Shutdown):
             if not isinstance(msg, wire.Assign):
                 log.warning("lane %s ignoring unexpected %r", worker_id, msg)
                 continue

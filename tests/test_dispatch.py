@@ -1,5 +1,6 @@
 """Dispatch: per-task failures over TCP and in-process, malformed frames on
-either side of a connection, BatchState bookkeeping under random event
+either side of a connection, peers of another protocol version, the
+messages each task costs, BatchState bookkeeping under random event
 sequences, the lanes' shared thread budget, the report's JSON, and no
 thread left running once a test ends."""
 
@@ -35,6 +36,9 @@ from crossdock.dispatch import (
     wire,
     worker_loop,
 )
+from crossdock.dispatch import master as dispatch_master
+from crossdock.dispatch import worker as dispatch_worker
+from crossdock.dispatch.worker import run_lane
 from crossdock.docking import DockConfig, Pose
 from crossdock.errors import DispatchError, NoAtomsError
 
@@ -226,22 +230,142 @@ def test_malformed_frame_from_the_master_ends_the_worker():
     assert w == {"value": 0}
 
 
-def test_a_hello_from_an_older_worker_drops_its_connection():
-    """HELLO is no longer a message type: the master ends that connection at
-    once and serves the batch to a current worker."""
+def assert_dropped_then_served(*payloads: bytes) -> None:
+    """A master with one task reads ``payloads`` from a scripted peer and
+    ends that connection without sending it a frame; a current worker then
+    completes the task."""
     port = free_port()
     policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
     master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
-    with connect(port) as old:
-        send_frame(old, b'{"v":2,"type":"HELLO","worker_id":"old","slots":1}')
-        old.settimeout(STARTUP)
-        assert old.recv(1) == b""
+    with connect(port) as peer:
+        for payload in payloads:
+            send_frame(peer, payload)
+        peer.settimeout(STARTUP)
+        assert peer.recv(1) == b""
     worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=1,
                           executor=lambda task: sample_result(task.task_id), worker_id="new")
     join(worker)
     join(master)
     assert w == {"value": 1}
-    assert "error" not in m and m["value"].per_worker == {"new": 1}, m
+    assert "error" not in m, m
+    assert m["value"].per_worker == {"new": 1} and m["value"].failed == {}
+
+
+def test_a_hello_from_an_older_worker_drops_its_connection():
+    """HELLO is no longer a message type: the master ends that connection at
+    once and serves the batch to a current worker."""
+    assert_dropped_then_served(
+        b'{"v":%d,"type":"HELLO","worker_id":"old","slots":1}' % wire.PROTOCOL_VERSION)
+
+
+def test_a_version_2_worker_is_dropped_at_its_first_request():
+    """A version 2 lane follows each RESULT with a REQUEST, which this
+    master would take as a second request for a task."""
+    assert_dropped_then_served(b'{"type":"REQUEST","worker_id":"old","v":2}')
+
+
+@pytest.mark.parametrize("reply", [wire.Result("r1__l1", sample_result("r1__l1")),
+                                   wire.TaskFailed("r1__l1", "boom")],
+                         ids=["result", "task-failed"])
+def test_a_reply_from_a_connection_that_never_sent_a_request_gets_no_assign(reply):
+    """The reply, for a task nobody holds, is discarded and its connection
+    is not parked: a malformed frame ends the connection before any ASSIGN
+    reaches it."""
+    assert_dropped_then_served(wire.encode_message(reply)[4:], DEEP_FRAME)
+
+
+def test_a_worker_whose_master_answers_in_version_2_returns_0():
+    """A current worker drops a master that answers its REQUESTs in version
+    2 instead of waiting for an ASSIGN it can read."""
+    assign = wire.encode_message(wire.Assign(make_tasks(["r1__l1"])[0]))
+    suffix = b',"v":%d}' % wire.PROTOCOL_VERSION
+    assert assign.endswith(suffix)
+    calls = []
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        worker, w = in_thread(worker_loop, server.getsockname(), slots=2,
+                              executor=calls.append, worker_id="w1")
+        conn, _ = server.accept()
+        with conn:
+            master = wire.Channel(conn, "w1")
+            assert [master.receive() for _ in range(2)] == [wire.Request("w1")] * 2
+            conn.sendall(assign[:-len(suffix)] + b',"v":2}')
+            join(worker, STARTUP)
+    assert w == {"value": 0} and calls == []
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_each_lane_sends_one_request_and_then_one_reply_per_assign(monkeypatch, transport):
+    """Messages by type over two lanes and four tasks, one of which fails
+    once and is retried: one REQUEST per lane, one ASSIGN per attempt, one
+    RESULT or TASK_FAILED per ASSIGN and one SHUTDOWN read per connection.
+    Over TCP these are exactly the frames encoded, and the outcome is the
+    one of the protocol that sent a REQUEST before every task."""
+    ids = ["r1__l1", "r1__l2", BAD, "r1__l3"]
+    lock = threading.Lock()
+    sent, received, frames, calls = Counter(), Counter(), Counter(), Counter()
+
+    def count(counter: Counter, msg) -> None:
+        with lock:
+            counter[type(msg).__name__] += 1
+
+    def counting_lane(send, recv, *args):
+        def counted_send(msg):
+            count(sent, msg)
+            return send(msg)
+
+        def counted_recv():
+            msg = recv()
+            if msg is not None:
+                count(received, msg)
+            return msg
+
+        return run_lane(counted_send, counted_recv, *args)
+
+    encode = wire.encode_message
+
+    def counted_encode(msg):
+        count(frames, msg)
+        return encode(msg)
+
+    def executor(task):
+        with lock:
+            calls[task.task_id] += 1
+            first = calls[task.task_id] == 1
+        if first and task.task_id == BAD:
+            raise NoAtomsError("bad.pdb: structure has no atoms")
+        return sample_result(task.task_id)
+
+    monkeypatch.setattr(dispatch_master, "run_lane", counting_lane)
+    monkeypatch.setattr(dispatch_worker, "run_lane", counting_lane)
+    monkeypatch.setattr(wire, "encode_message", counted_encode)
+    policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
+    if transport == "local":
+        master, m = in_thread(local_pool_run, make_tasks(ids), 2, policy, executor)
+    else:
+        port = free_port()
+        master, m = in_thread(master_run, make_tasks(ids), ("127.0.0.1", port), policy)
+        worker, w = in_thread(worker_loop, ("127.0.0.1", port), slots=2, executor=executor,
+                              worker_id="w1", backoff_initial=0.01, backoff_cap=0.05,
+                              max_retries=500)
+        join(worker)
+        assert w == {"value": 4}, w
+    join(master)
+
+    assert "error" not in m, m
+    report = m["value"]
+    assert report.completed == {tid: sample_result(tid) for tid in ids}
+    assert report.failed == {} and report.errors == {}
+    assert calls == Counter({BAD: 2, "r1__l1": 1, "r1__l2": 1, "r1__l3": 1})
+    assert sent == Counter(Request=2, Result=4, TaskFailed=1)
+    if transport == "local":
+        assert set(report.per_worker) == {"local-0", "local-1"}
+        assert sum(report.per_worker.values()) == 4
+        assert received == Counter(Assign=5, Shutdown=2)
+        assert frames == Counter()
+    else:
+        assert report.per_worker == {"w1": 4}
+        assert received == Counter(Assign=5, Shutdown=1)
+        assert frames == sent + received
 
 
 def test_stale_task_failure_is_discarded_and_charges_nothing():

@@ -42,6 +42,11 @@ def pair():
         yield a, b
 
 
+def message(**body) -> bytes:
+    """The JSON payload of ``body`` at this protocol version."""
+    return json.dumps({"v": wire.PROTOCOL_VERSION, **body}, separators=(",", ":")).encode()
+
+
 def recv_bytes(sock: socket.socket, count: int) -> bytes:
     data = b""
     while len(data) < count and (chunk := sock.recv(count - len(data))):
@@ -107,7 +112,7 @@ def test_oversized_length_prefix_raises_wire_error(pair, caplog):
 
 
 @pytest.mark.parametrize("payload, reason", [
-    (b'{"v":2,"type":"HELLO","worker_id":"w","slots":1}', "unknown message type 'HELLO'"),
+    (message(type="HELLO", worker_id="w", slots=1), "unknown message type 'HELLO'"),
     (b"[" * 100000 + b"]" * 100000, "malformed payload: RecursionError"),
     (b"", "malformed payload: JSONDecodeError"),
 ], ids=["hello", "too-deep", "empty"])
@@ -183,6 +188,13 @@ def with_result(**changes) -> bytes:
     return json.dumps(body, separators=(",", ":")).encode() + newline + columns
 
 
+def with_task(**changes) -> bytes:
+    """ASSIGN_PAYLOAD with fields of its task replaced."""
+    body = json.loads(ASSIGN_PAYLOAD)
+    body["task"].update(changes)
+    return json.dumps(body, separators=(",", ":")).encode()
+
+
 def test_a_result_payload_with_its_own_header_fields_decodes():
     assert wire.decode_message(with_result(**sample_result().header())) == \
         wire.Result("r1__l1", sample_result())
@@ -190,13 +202,17 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
 
 @pytest.mark.parametrize("payload", [
     b"[" * 100000 + b"]" * 100000,  # deeper than the JSON decoder recurses
-    b'{"v":2,"type":"ASSIGN","task":{"task_id":"t","receptor_path":"r",'
-    b'"ligand_path":"l","config":[]}}',  # config is a list, not an object
-    b'{"v":2,"type":"RESULT","task_id":"t","poses":0,"result":{"task_id":"t",'
-    b'"receptor_id":"r","ligand_id":"l","grid":{"n":1e400,"pitch":1,"origin":[0,0,0]}}}'
-    b"\n",  # int(inf)
-    b'{"v":2,"type":"REQUEST","worker_id":' + b"9" * 5000 + b"}",  # digit limit
-    b'{"v":2,"type":"HELLO","worker_id":"w","slots":1}',  # HELLO is no longer a message type
+    pytest.param(message(type="ASSIGN", task={"task_id": "t", "receptor_path": "r",
+                                              "ligand_path": "l", "config": []}),
+                 id="assign-config-list"),
+    pytest.param(b'{"v":%d,"type":"RESULT","task_id":"t","poses":0,"result":{"task_id":"t",'
+                 b'"receptor_id":"r","ligand_id":"l","grid":{"n":1e400,"pitch":1,'
+                 b'"origin":[0,0,0]}}}\n' % wire.PROTOCOL_VERSION,
+                 id="grid-n-infinite"),  # int(inf)
+    pytest.param(b'{"v":%d,"type":"REQUEST","worker_id":' % wire.PROTOCOL_VERSION
+                 + b"9" * 5000 + b"}", id="request-digit-limit"),
+    pytest.param(message(type="HELLO", worker_id="w", slots=1),
+                 id="hello"),  # HELLO is no longer a message type
     pytest.param(RESULT_PAYLOAD[:-1], id="columns-one-byte-short"),
     pytest.param(RESULT_PAYLOAD + b"\0", id="columns-one-byte-long"),
     pytest.param(RESULT_HEADER, id="result-without-columns"),
@@ -216,6 +232,7 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
     pytest.param(json.dumps({"v": 1, "type": "RESULT", "task_id": "r1__l1",
                              "result": result_dict(sample_result())}).encode(),
                  id="version-1-json-result"),
+    pytest.param(b'{"type":"REQUEST","worker_id":"w-1","v":2}', id="version-2-request"),
     pytest.param(with_result(grid={**GRID, "n": 8.9}), id="grid-n-fraction"),
     pytest.param(with_result(grid={**GRID, "n": "8"}), id="grid-n-string"),
     pytest.param(with_result(grid={**GRID, "n": True}), id="grid-n-bool"),
@@ -224,14 +241,23 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
                  id="grid-origin-string"),
     pytest.param(with_result(task_id=7), id="result-task-id-int"),
     pytest.param(with_header(task_id=7), id="header-task-id-int"),
-    pytest.param(b'{"v":2,"type":"TASK_FAILED","task_id":7,"error":"e"}',
-                 id="task-failed-id-int"),
+    pytest.param(message(type="TASK_FAILED", task_id=7, error="e"), id="task-failed-id-int"),
+    pytest.param(message(type="TASK_FAILED", task_id="t", error=None),
+                 id="task-failed-error-null"),
+    pytest.param(message(type="REQUEST", worker_id=7), id="request-worker-id-int"),
+    pytest.param(message(type="REQUEST", worker_id=None), id="request-worker-id-null"),
+    pytest.param(with_task(task_id=7), id="assign-task-id-int"),
+    pytest.param(with_task(receptor_path=None), id="assign-receptor-path-null"),
+    pytest.param(with_task(ligand_path=["l1.pdb"]), id="assign-ligand-path-list"),
     pytest.param(with_result(receptor_id=None), id="result-receptor-id-null"),
     pytest.param(with_result(ligand_id=["l1"]), id="result-ligand-id-list"),
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
-    with pytest.raises(WireError):
+    """Each payload at this version fails for its own fault, not its version."""
+    with pytest.raises(WireError) as caught:
         wire.decode_message(payload)
+    if b'"v":%d' % wire.PROTOCOL_VERSION in payload:
+        assert "protocol version" not in str(caught.value)
 
 
 def _score(bits: int) -> float:
@@ -291,7 +317,7 @@ def tuple_pose_columns(poses) -> bytes:
 
 
 # sha256 of the RESULT frame of result_with(_seeded_poses(2000, 54, 83), 54),
-# recorded with the encoder that packed a tuple of Pose.
+# recorded at protocol version 2 with the encoder that packed a tuple of Pose.
 FRAME_2000 = "706efa17dcd79ff85235c07caf962b8e757d7db5824f2e2230b3bce04a0206bc"
 
 
@@ -300,13 +326,15 @@ FRAME_2000 = "706efa17dcd79ff85235c07caf962b8e757d7db5824f2e2230b3bce04a0206bc"
 def test_result_frames_are_the_bytes_of_the_tuple_encoder(poses, n):
     result = result_with(poses, n)
     body = {"type": "RESULT", "task_id": "r1__l1", "poses": len(poses),
-            "result": result.header(), "v": 2}
+            "result": result.header(), "v": wire.PROTOCOL_VERSION}
     payload = json.dumps(body, separators=(",", ":")).encode() + b"\n"
     payload += tuple_pose_columns(poses)
     frame = wire.encode_message(wire.Result("r1__l1", result))
     assert frame == struct.pack(">I", len(payload)) + payload
-    if len(poses) == 2000:
-        assert hashlib.sha256(frame).hexdigest() == FRAME_2000
+    if len(poses) == 2000:  # the same bytes as version 2's frame but for "v"
+        version_2 = frame.replace(b',"v":%d}\n' % wire.PROTOCOL_VERSION, b',"v":2}\n', 1)
+        assert version_2 != frame
+        assert hashlib.sha256(version_2).hexdigest() == FRAME_2000
 
 
 @pytest.mark.parametrize("k", [0, 1, 2000])
@@ -337,7 +365,7 @@ def test_encoding_and_decoding_a_result_builds_no_pose(forbid_pose):
 def test_only_a_result_carries_bytes_after_its_json():
     for msg in MESSAGES:
         header, newline, columns = payload_of(msg).partition(b"\n")
-        assert json.loads(header)["v"] == wire.PROTOCOL_VERSION == 2
+        assert json.loads(header)["v"] == wire.PROTOCOL_VERSION == 3
         if isinstance(msg, wire.Result):
             assert newline and len(columns) == 24 * len(msg.result.top_poses)
         else:
