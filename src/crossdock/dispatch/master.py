@@ -9,21 +9,21 @@ waits for the batch to end. A worker registers with its first REQUEST,
 which names it. Each connection's reader reports the connection closed as
 its last call, exactly once, however the connection ends: EOF, a malformed
 frame, or a failed send, which shuts the socket down and so ends the
-reader. Two events charge a task one attempt: a TASK_FAILED for it from
-the connection that holds it, and the close of that connection, which
-charges every task it held. A charged task is requeued at the front of the
-queue, or recorded as permanently failed with its last failure reason once
-``max_attempts`` is spent. There is no timeout-based straggler
-reassignment.
+reader. A RESULT or TASK_FAILED counts only from the connection that
+holds its task. Two events charge a task one attempt: a TASK_FAILED, and
+the close of the holding connection, which charges every task it held. A
+charged task is requeued at the front of the queue, or recorded as
+permanently failed with its last failure reason once ``max_attempts`` is
+spent. There is no timeout-based straggler reassignment.
 
 A lane asks for work with its first REQUEST and then with each RESULT or
 TASK_FAILED it sends, so every such message from a registered connection,
 stale or not, parks it, in the same pass through the lock that records the
-message. A reply from a connection that never sent a REQUEST is recorded
-or discarded as usual but never parked. Parked lanes are served in arrival
-order: at once while the queue holds a task, otherwise by a requeued task
-(any in-flight task may yet fail) or, at batch completion, by the SHUTDOWN
-broadcast.
+message. A reply from a connection that never sent a REQUEST is
+discarded, as it holds no task, and never parked. Parked lanes are served
+in arrival order: at once while the queue holds a task, otherwise by a
+requeued task (any in-flight task may yet fail) or, at batch completion,
+by the SHUTDOWN broadcast.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ class BatchState:
         self._check(task.task_id)
         return task
 
-    def record_result(self, task_id: str, result: DockingResult) -> bool:
-        """True when newly recorded; duplicates and stale results are
-        discarded (and logged by the caller)."""
-        if task_id in self.completed or task_id not in self.in_flight:
+    def record_result(self, conn: object, task_id: str, result: DockingResult) -> bool:
+        """True when recorded, which it is only from ``conn`` holding the
+        task; others are discarded (and logged by the caller)."""
+        held = self.in_flight.get(task_id)
+        if held is None or held[1] is not conn:
             return False
         del self.in_flight[task_id]
         self.completed[task_id] = result
@@ -295,9 +296,8 @@ class _MasterCore:
             if conn not in self.workers:
                 self._register(conn, msg.worker_id)
         elif isinstance(msg, wire.Result):
-            if self.state.record_result(msg.task_id, msg.result):
-                worker_id = self.workers.get(conn, "unknown")
-                self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
+            if self.state.record_result(conn, msg.task_id, msg.result):
+                self.per_worker[self.workers[conn]] += 1  # a holder is registered
             else:
                 log.info("discarding duplicate/stale result for %s", msg.task_id)
         elif isinstance(msg, wire.TaskFailed):
@@ -468,10 +468,11 @@ def local_pool_run(
     for lane in lanes:
         lane.start()
     try:
-        report = core.run()
-    finally:
+        return core.run()
+    except BaseException:  # raised before run() broadcast its SHUTDOWN
         for conn in conns:
             conn.send(wire.Shutdown())
-    for lane in lanes:
-        lane.join(timeout=10)
-    return report
+        raise
+    finally:
+        for lane in lanes:
+            lane.join(timeout=10)

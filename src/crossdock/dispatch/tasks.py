@@ -8,6 +8,7 @@ from typing import Sequence
 
 from ..docking import DockConfig, DockingResult, dock_pair
 from ..errors import ParameterError
+from ..grid import str_field
 from ..pdb_io import load_structure
 
 __all__ = ["DockingTask", "cross_tasks", "execute_task"]
@@ -36,9 +37,7 @@ class DockingTask:
         """The task whose to_dict() is ``d``. An id or a path that is not a
         string is a ValueError."""
         fields = d["task_id"], d["receptor_path"], d["ligand_path"]
-        if not all(type(f) is str for f in fields):
-            raise ValueError(f"task id and paths must be strings, got {fields!r}")
-        return cls(*fields, config=DockConfig.from_dict(d["config"]))
+        return cls(*map(str_field, fields), config=DockConfig.from_dict(d["config"]))
 
 
 def _ids_for(paths: Sequence[str], side: str) -> list[str]:

@@ -62,7 +62,7 @@ import numpy as np
 
 from ..docking import DockingResult, PoseColumns
 from ..errors import WireError
-from ..grid import GridSpec
+from ..grid import GridSpec, str_field
 from .tasks import DockingTask
 
 __all__ = [
@@ -147,13 +147,6 @@ def _read_poses(columns: bytes, k, n: int) -> PoseColumns:
     return PoseColumns(indices, np.frombuffer(columns, dtype="<f8", offset=16 * k))
 
 
-def _string(body: dict, key: str) -> str:
-    value = body[key]
-    if type(value) is not str:
-        raise WireError(f"{key} {value!r} is not a string")
-    return value
-
-
 def encode_message(msg: Message) -> bytes:
     body = _payload(msg)
     body["v"] = PROTOCOL_VERSION
@@ -178,17 +171,17 @@ def decode_message(payload: bytes) -> Message:
                 raise WireError("a RESULT without its pose columns")
             d = body["result"]
             poses = _read_poses(columns, body["poses"], GridSpec.from_dict(d["grid"]).n)
-            return Result(task_id=_string(body, "task_id"),
+            return Result(task_id=str_field(body["task_id"]),
                           result=DockingResult.from_header(d, poses))
         if newline:
             raise WireError(f"bytes after the JSON of a {kind!r} message")
         if kind == "REQUEST":
-            return Request(worker_id=_string(body, "worker_id"))
+            return Request(worker_id=str_field(body["worker_id"]))
         if kind == "ASSIGN":
             return Assign(task=DockingTask.from_dict(body["task"]))
         if kind == "TASK_FAILED":
-            return TaskFailed(task_id=_string(body, "task_id"),
-                              error=_string(body, "error"))
+            return TaskFailed(task_id=str_field(body["task_id"]),
+                              error=str_field(body["error"]))
         if kind == "SHUTDOWN":
             return Shutdown()
         raise WireError(f"unknown message type {kind!r}")

@@ -17,24 +17,26 @@ translation scan with cyclic indexing and no transforms.
 The transforms are scipy.fft's pocketfft, the same library NumPy vendors,
 called so that the results equal np.fft.fftn/ifftn bit for bit: scipy runs
 each axis pass as one vectorized call where NumPy loops over the axes in
-Python. NumPy transforms the last axis first, hence ``axes=(2, 1, 0)`` and
-one-axis passes in that order; its ifftn scales by 1/n on every pass, hence
-three one-axis inverse calls where one scipy.fft.ifftn would scale once by
-1/n^3 and round differently. The spectra's product is written in the
+Python. NumPy transforms the last axis first, hence one-axis passes in
+that order; its ifftn scales by 1/n on every pass, hence three one-axis
+inverse calls where one scipy.fft.ifftn would scale once by 1/n^3 and
+round differently. The spectra's product is written in the
 operand order of the digests, which depends on n (see _correlate). The
 top-K breaks ties between equal scores on the last bits of these
 transforms, so a change here that is not bit-identical moves it.
 
-The rotation scan allocates no n^3 array per rotation but the ligand grid:
-each scanning thread owns one complex128 buffer for the length of a
-dock_pair call, and the transforms, the product and the candidate
-reduction run in it. The forward transform skips the rows and slabs
-outside the rotated ligand's voxel box, which are all zero.
+Grids are float64. One forward routine, _spectrum, transforms the
+receptor once and the ligand at every rotation. The rotation scan
+allocates no n^3 array per rotation but the ligand grid: each scanning
+thread owns one complex128 buffer for the length of a dock_pair call, and
+the transforms, the product and the candidate reduction run in it. The
+ligand's transform skips the rows and slabs outside its voxel box, which
+are all zero.
 
 scipy.fft (about 0.25 s and 25 MB to load) is imported at the first
 transform, not with this module: a master, an analyzer or a worker that has
 not docked yet imports this module for its records only. The transforms
-look scipy.fft.fftn, fft and ifft up at call time.
+look scipy.fft.fft and ifft up at call time.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .grid import (
     choose_grid_size,
     float_field,
     int_field,
+    str_field,
 )
 from .pdb_io import Structure, bounding_box
 
@@ -188,19 +191,14 @@ def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
     return s.with_coords(coords)
 
 
-def _receptor_spectrum(receptor_voxels: np.ndarray) -> np.ndarray:
-    """conj(FFT(R)): the receptor half of the correlation, computed once.
-    Equal bit for bit to np.conj(np.fft.fftn(R)); see the module docstring."""
-    import scipy.fft
+def _spectrum(voxels: np.ndarray, box: tuple | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """FFT(G) in ``out``, an n^3 complex128 C-contiguous buffer (a new one
+    when None), equal bit for bit to np.fft.fftn(G); G is only read. A
+    float64 G is copied in as complex first: scipy.fft.fftn of a real
+    array runs a real-input transform, which rounds differently.
 
-    return np.conj(scipy.fft.fftn(receptor_voxels, axes=(2, 1, 0)))
-
-
-def _ligand_spectrum(ligand_voxels: np.ndarray, box: tuple | None, out: np.ndarray) -> np.ndarray:
-    """FFT(L) in ``out``, an n^3 complex128 C-contiguous buffer, equal bit
-    for bit to scipy.fft.fftn(L, axes=(2, 1, 0)); L is only read.
-
-    ``box`` is a half-open (lo, hi) lattice box outside which L is zero;
+    ``box`` is a half-open (lo, hi) lattice box outside which G is zero;
     None means the whole lattice. The transform is pruned to it (Sorensen
     and Burrus, IEEE Trans. Signal Process. 1993): the transform of an
     all-zero line is zero, so the last-axis pass runs only on the box's
@@ -211,12 +209,14 @@ def _ligand_spectrum(ligand_voxels: np.ndarray, box: tuple | None, out: np.ndarr
     """
     import scipy.fft
 
-    n = len(ligand_voxels)
+    n = len(voxels)
+    if out is None:
+        out = np.empty((n, n, n), dtype=np.complex128)
     (x0, y0, _), (x1, y1, _) = box if box is not None else ((0, 0, 0), (n, n, n))
     out[:x0] = out[x1:] = 0
     out[x0:x1, :y0] = out[x0:x1, y1:] = 0
     rows = out[x0:x1, y0:y1]
-    rows[...] = ligand_voxels[x0:x1, y0:y1]
+    rows[...] = voxels[x0:x1, y0:y1]
     scipy.fft.fft(rows, axis=2, overwrite_x=True)
     scipy.fft.fft(out[x0:x1], axis=1, overwrite_x=True)
     scipy.fft.fft(out, axis=0, overwrite_x=True)
@@ -233,12 +233,12 @@ def _correlate(
     box: tuple | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Correlation volume of one ligand grid against _receptor_spectrum,
+    """Correlation volume of one ligand grid against conj(_spectrum(R)),
     equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
     np.fft.fftn(L))): a real view into ``out``, the n^3 complex128
     C-contiguous buffer that the transforms and the product run in (a new
     one when None). ``box`` prunes the forward transform, as in
-    _ligand_spectrum. A ligand grid passed as a temporary is freed before
+    _spectrum. A ligand grid passed as a temporary is freed before
     the inverse transforms.
 
     The two operand orders of the product can round differently, so the
@@ -249,8 +249,7 @@ def _correlate(
     """
     import scipy.fft
 
-    spectrum = _ligand_spectrum(
-        ligand_voxels, box, np.empty_like(rec_hat_conj) if out is None else out)
+    spectrum = _spectrum(ligand_voxels, box, out)
     del ligand_voxels
     if spectrum.nbytes >= _ELISION_BYTES:
         np.multiply(spectrum, rec_hat_conj, out=spectrum)
@@ -468,11 +467,8 @@ class DockingResult:
         """The result whose header() is ``d``, with ``top_poses``. An id
         that is not a string, or a number field that is not a JSON number,
         is a ValueError."""
-        ids = d["task_id"], d["receptor_id"], d["ligand_id"]
-        if not all(type(i) is str for i in ids):
-            raise ValueError(f"result ids must be strings, got {ids!r}")
         return cls(
-            *ids,
+            *map(str_field, (d["task_id"], d["receptor_id"], d["ligand_id"])),
             grid_spec=GridSpec.from_dict(d["grid"]),
             params=ScoringParams.from_dict(d["params"]),
             angular_step=float_field(d["angular_step"]),
@@ -639,8 +635,8 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     # this centered layout.
     centered = ligand.with_coords(_centered_coords(ligand, spec))
     lig_center = spec.center()
-    rec_grid = assign_grid(receptor, spec, RECEPTOR, config.params)
-    rec_hat_conj = _receptor_spectrum(rec_grid.voxels)
+    rec_hat_conj = _spectrum(assign_grid(receptor, spec, RECEPTOR, config.params).voxels)
+    np.conj(rec_hat_conj, out=rec_hat_conj)
     top = _TopK(config.top_k)
     local = threading.local()  # each scanning thread's buffer, for this call only
 

@@ -2,10 +2,9 @@
 
 A structure is rasterized onto an N x N x N grid of 1.2 A voxels (default).
 Receptor grids carry a thin favorable surface shell (+1) around a heavily
-penalized core (-15); ligand grids carry +1 inside the molecular core. The
-real part of the grid correlation is then the classic shape-complementarity
-score: +1 per surface contact, -15 per core clash. Imaginary parts are kept
-zero and reserved for additional scoring terms.
+penalized core (-15); ligand grids carry +1 inside the molecular core.
+Grids are float64. The grid correlation is then the classic
+shape-complementarity score: +1 per surface contact, -15 per core clash.
 
 Rasterization is non-periodic: an atom whose inflated extent leaves the
 lattice raises GridOverflowError instead of wrapping to the opposite face.
@@ -39,6 +38,7 @@ __all__ = [
     "assign_grid",
     "int_field",
     "float_field",
+    "str_field",
 ]
 
 RECEPTOR = "receptor"
@@ -107,6 +107,14 @@ def float_field(value) -> float:
     return float(value)
 
 
+def str_field(value) -> str:
+    """A JSON value read as a string: anything else (a number, null, a
+    list) is a ValueError, where str() would read 7 as "7"."""
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def is_radix_friendly(n: int) -> bool:
     """True when n factors only into the primes 2, 3 and 5."""
     if n < 1:
@@ -158,7 +166,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DockGrid:
-    """Voxel weights for one structure. ``voxels`` is complex128 with shape
+    """Voxel weights for one structure. ``voxels`` is float64 with shape
     (n, n, n), indexed [x, y, z]."""
 
     spec: GridSpec
@@ -308,7 +316,7 @@ def assign_grid(
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
 
     core = _core_mask(s, spec, params.atom_radius)
-    voxels = np.zeros((spec.n, spec.n, spec.n), dtype=np.complex128)
+    voxels = np.zeros((spec.n, spec.n, spec.n))
     if role == LIGAND:
         voxels[core] = params.ligand_weight
     else:

@@ -11,7 +11,7 @@ from crossdock.docking import (
     DockingResult,
     Pose,
     _correlate,
-    _receptor_spectrum,
+    _spectrum,
     generate_rotations,
     rotate_structure,
 )
@@ -215,7 +215,7 @@ def fft_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:
     cyclic voxel translations t, through dock_pair's transform pair. The
     inverse transform's 1/n^3 factor makes C match the direct sum exactly."""
     assert receptor.spec == ligand.spec
-    return _correlate(_receptor_spectrum(receptor.voxels), ligand.voxels)
+    return _correlate(np.conj(_spectrum(receptor.voxels)), ligand.voxels)
 
 
 def direct_correlate(receptor: DockGrid, ligand: DockGrid) -> np.ndarray:

@@ -368,6 +368,31 @@ def test_each_lane_sends_one_request_and_then_one_reply_per_assign(monkeypatch, 
         assert frames == sent + received
 
 
+def test_a_result_from_a_connection_not_holding_its_task_is_discarded():
+    """While w1 holds r1__l1, a bare connection sends a result for it
+    (another pair's): it is discarded, and w1's own result is recorded and
+    credited to w1 alone."""
+    port = free_port()
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    master, m = in_thread(master_run, make_tasks(["r1__l1"]), ("127.0.0.1", port), policy)
+    with connect(port) as sock:
+        w1 = wire.Channel(sock, "master")
+        assert w1.send(wire.Request("w1"))
+        assert w1.receive() == wire.Assign(make_tasks(["r1__l1"])[0])
+        with connect(port) as bare:
+            send_frame(bare, wire.encode_message(
+                wire.Result("r1__l1", sample_result("r9__l9")))[4:])
+            send_frame(bare, DEEP_FRAME)  # dropped once its result is applied
+            bare.settimeout(STARTUP)
+            assert bare.recv(1) == b""
+        assert w1.send(wire.Result("r1__l1", sample_result("r1__l1")))
+        assert isinstance(w1.receive(), wire.Shutdown)
+        join(master, STARTUP)
+    assert "error" not in m, m
+    assert m["value"].completed == {"r1__l1": sample_result("r1__l1")}
+    assert m["value"].per_worker == {"w1": 1}
+
+
 def test_stale_task_failure_is_discarded_and_charges_nothing():
     state = BatchState(make_tasks(["r1__l1"]), max_attempts=2)
     holder, other = object(), object()
@@ -398,7 +423,7 @@ def test_every_transition_checks_that_the_groups_partition_the_batch():
     state.pending.pop()
     state.permanently_failed["r1__l1"] = 1
     with pytest.raises(DispatchError, match="task states overlap: .*r1__l1"):
-        state.record_result("r1__l1", sample_result("r1__l1"))
+        state.record_result(holder, "r1__l1", sample_result("r1__l1"))
 
     # r1__l2 dropped and r1__l1 both completed and failed; only r1__l3 moves
     state = BatchState(make_tasks(ids), max_attempts=1)
@@ -408,7 +433,7 @@ def test_every_transition_checks_that_the_groups_partition_the_batch():
     state.completed["r1__l1"] = sample_result("r1__l1")
     state.permanently_failed["r1__l1"] = 1
     with pytest.raises(DispatchError, match="task states overlap: .*r1__l1"):
-        state.record_result("r1__l3", sample_result("r1__l3"))
+        state.record_result(holder, "r1__l3", sample_result("r1__l3"))
 
 
 def test_a_requeued_task_sits_in_no_other_group():
@@ -456,12 +481,21 @@ class BatchStateMachine(RuleBasedStateMachine):
         assert task.task_id == expected and self.holder(expected) is self.conns[conn]
         self.assigned_at[expected] = next(self.assignments)
 
+    @precondition(lambda self: self.state.in_flight)
     @rule(data=st.data())
-    def record_result(self, data):
+    def record_result_by_holder(self, data):
+        tid = data.draw(st.sampled_from(sorted(self.state.in_flight)))
+        assert self.state.record_result(self.holder(tid), tid, sample_result(tid))
+        assert tid not in self.state.in_flight and tid in self.state.completed
+
+    @rule(data=st.data(), conn=st.sampled_from(CONNS))
+    def record_result_by_another(self, data, conn):
         tid = data.draw(st.sampled_from(self.ids))
-        was_in_flight = tid in self.state.in_flight
-        assert self.state.record_result(tid, sample_result(tid)) == was_in_flight
-        assert tid not in self.state.in_flight
+        if tid in self.state.in_flight and self.holder(tid) is self.conns[conn]:
+            return  # that is the holder's own result, covered above
+        before = self.snapshot()
+        assert not self.state.record_result(self.conns[conn], tid, sample_result(tid))
+        assert self.snapshot() == before
 
     @precondition(lambda self: self.state.in_flight)
     @rule(data=st.data())
@@ -612,6 +646,43 @@ def test_an_error_in_the_bookkeeping_reaches_the_caller(transport):
     assert isinstance(m.get("error"), RuntimeError), m
     assert str(m["error"]) == "hook call 5"
     assert hook.calls == 5
+
+
+def count_local_sends(monkeypatch) -> Counter:
+    """Messages local_pool_run puts in its lanes' inboxes, by type."""
+    sent: Counter = Counter()
+    lock = threading.Lock()
+    send = dispatch_master._LocalConn.send
+
+    def spy(self, msg):
+        with lock:
+            sent[type(msg).__name__] += 1
+        send(self, msg)
+
+    monkeypatch.setattr(dispatch_master._LocalConn, "send", spy)
+    return sent
+
+
+def test_local_pool_run_sends_each_lane_one_shutdown(monkeypatch):
+    sent = count_local_sends(monkeypatch)
+    ids = [f"r1__l{i}" for i in range(10)]
+    policy = DispatchPolicy(startup_timeout=STARTUP)
+    report = local_pool_run(make_tasks(ids), 2, policy, lambda task: sample_result(task.task_id))
+    assert set(report.completed) == set(ids)
+    assert sent == Counter(Assign=10, Shutdown=2)
+
+
+def test_a_raising_transition_hook_still_ends_and_joins_every_lane(monkeypatch):
+    """local_pool_run raises the hook's error only once every lane has read
+    its one SHUTDOWN and ended."""
+    sent = count_local_sends(monkeypatch)
+    before = set(threading.enumerate())
+    policy = DispatchPolicy(startup_timeout=STARTUP)
+    with pytest.raises(RuntimeError, match="^hook call 5$"):
+        local_pool_run(make_tasks([f"r1__l{i}" for i in range(10)]), 2, policy,
+                       lambda task: sample_result(task.task_id), RaisesOnCall(5))
+    assert [t.name for t in set(threading.enumerate()) - before if t.is_alive()] == []
+    assert sent["Shutdown"] == 2
 
 
 def test_master_run_ends_its_readers_while_a_worker_stays_connected():

@@ -330,16 +330,18 @@ def five_smooth(n: int) -> bool:
 @pytest.mark.parametrize("n", [n for n in range(4, 65) if five_smooth(n)])
 def test_correlation_is_bit_identical_to_the_numpy_transforms(n):
     """Receptor spectrum and correlation volume equal the NumPy oracle byte
-    for byte, on grids of the scoring weights (+1 surface, -15 core). A
-    single 1/n^3-scaled inverse instead of one 1/n pass per axis fails
-    here at every n that is not a power of two."""
+    for byte, on grids of the scoring weights (+1 surface, -15 core), as
+    assign_grid's float64 grids and as the complex128 grids the digests
+    were recorded with. A single 1/n^3-scaled inverse instead of one 1/n
+    pass per axis fails here at every n that is not a power of two."""
     rng = np.random.default_rng([59, n])
     receptor = rng.choice([0.0, 1.0, -15.0], size=(n, n, n)) + 0j
     ligand = rng.choice([0.0, 1.0], size=(n, n, n)) + 0j
     want = np.conj(np.fft.fftn(receptor))
-    assert docking._receptor_spectrum(receptor).tobytes() == want.tobytes()
-    got = docking._correlate(want, ligand)
-    assert got.tobytes() == numpy_correlate(want, ligand).tobytes()
+    correlation = numpy_correlate(want, ligand).tobytes()
+    for rec, lig in ((receptor, ligand), (receptor.real.copy(), ligand.real.copy())):
+        assert np.conj(docking._spectrum(rec)).tobytes() == want.tobytes(), rec.dtype
+        assert docking._correlate(want, lig).tobytes() == correlation, lig.dtype
 
 
 @pytest.mark.parametrize("n, first", [(25, "receptor"), (26, "ligand")])
@@ -392,7 +394,7 @@ def test_pruned_forward_transform_is_fftn_bit_for_bit(n):
         grid = grid_in_box(rng, n, box)
         before = grid.tobytes()
         out = np.full((n, n, n), np.nan + 1j * np.nan)
-        got = docking._ligand_spectrum(grid, box, out)
+        got = docking._spectrum(grid, box, out)
         assert got is out
         assert got.tobytes() == scipy.fft.fftn(grid, axes=(2, 1, 0)).tobytes(), name
         assert grid.tobytes() == before, name
@@ -403,8 +405,7 @@ def test_a_pruned_correlation_equals_the_unpruned_one_bit_for_bit(n):
     """On either side of the operand-order switch at n = 26, and in one
     buffer reused from box to box."""
     rng = np.random.default_rng([73, n])
-    rec_hat_conj = docking._receptor_spectrum(
-        rng.choice([0.0, 1.0, -15.0], size=(n, n, n)) + 0j)
+    rec_hat_conj = np.conj(docking._spectrum(rng.choice([0.0, 1.0, -15.0], size=(n, n, n))))
     out = np.empty((n, n, n), dtype=np.complex128)
     for name, box in pruning_cases(n).items():
         ligand = grid_in_box(rng, n, box).real.round() + 0j
@@ -507,9 +508,9 @@ class TestStructureArrays:
 def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_pair):
     """A tracer patches these module attributes and divides by the ligand
     assign_grid count; dock_pair must keep calling them. The transforms are
-    scipy.fft.fftn (the receptor's alone), scipy.fft.fft (the pruned
-    forward, one per axis per rotation) and scipy.fft.ifft (one per axis
-    per rotation); NumPy's are not called."""
+    scipy.fft.fft (the forward, one per axis for the receptor and for each
+    rotation) and scipy.fft.ifft (one per axis per rotation); scipy.fft.fftn
+    and NumPy's are not called."""
     rec, lig = blob_pair
     rotations = len(generate_rotations(90.0))
     counts: Counter = Counter()
@@ -533,7 +534,7 @@ def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_p
     monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, lambda *a, **k: "np.fft.ifftn"))
     dock_pair(rec, lig, DockConfig(angular_step=90.0, top_k=10, threads=threads))
     assert counts == Counter({LIGAND: rotations, RECEPTOR: 1, "rotate": rotations,
-                              "fftn": 1, "fft": 3 * rotations, "ifft": 3 * rotations})
+                              "fftn": 0, "fft": 3 * (rotations + 1), "ifft": 3 * rotations})
 
 
 LEAN_MODULES = ["crossdock", "crossdock.cli", "crossdock.costmodel",

@@ -337,10 +337,9 @@ class TestAssignGrid:
         s = make_structure("s", [(0, 0, 0), (1, 0, 0)])
         rec = assign_grid(s, spec, RECEPTOR)
         lig = assign_grid(s, spec, LIGAND)
-        assert set(np.unique(rec.voxels.real)) <= {0.0, 1.0, -15.0}
-        assert set(np.unique(lig.voxels.real)) <= {0.0, 1.0}
-        assert np.all(rec.voxels.imag == 0.0)
-        assert np.all(lig.voxels.imag == 0.0)
+        assert rec.voxels.dtype == lig.voxels.dtype == np.float64
+        assert set(np.unique(rec.voxels)) <= {0.0, 1.0, -15.0}
+        assert set(np.unique(lig.voxels)) <= {0.0, 1.0}
 
     def test_surface_and_core_disjoint_and_adjacent(self):
         spec = GridSpec(n=12, pitch=1.2, origin=(-6.0, -6.0, -6.0))
