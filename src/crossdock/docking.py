@@ -14,16 +14,14 @@ one.
 The tests keep the brute-force oracle for the FFT path: a literal
 translation scan with cyclic indexing and no transforms.
 
-The transforms are scipy.fft's pocketfft, the same library NumPy vendors,
-called so that the results equal np.fft.fftn/ifftn bit for bit: scipy runs
-each axis pass as one vectorized call where NumPy loops over the axes in
-Python. NumPy transforms the last axis first, hence one-axis passes in
-that order; its ifftn scales by 1/n on every pass, hence three one-axis
-inverse calls where one scipy.fft.ifftn would scale once by 1/n^3 and
-round differently. The spectra's product is written in the
-operand order of the digests, which depends on n (see _correlate). The
-top-K breaks ties between equal scores on the last bits of these
-transforms, so a change here that is not bit-identical moves it.
+The transforms are numpy.fft's one-axis passes, each run in place with
+``out=`` so that the results equal np.fft.fftn/ifftn bit for bit: fftn
+transforms the last axis first, hence one-axis passes in that order; its
+ifftn scales by 1/n on every pass, hence three one-axis inverse calls. The
+spectra's product is written in the operand order of the digests, which
+depends on n (see _correlate). The top-K breaks ties between equal scores
+on the last bits of these transforms, so a change here that is not
+bit-identical moves it.
 
 Grids are float64. One forward routine, _spectrum, transforms the
 receptor once and the ligand at every rotation. The rotation scan
@@ -32,11 +30,6 @@ thread owns one complex128 buffer for the length of a dock_pair call, and
 the transforms, the product and the candidate reduction run in it. The
 ligand's transform skips the rows and slabs outside its voxel box, which
 are all zero.
-
-scipy.fft (about 0.25 s and 25 MB to load) is imported at the first
-transform, not with this module: a master, an analyzer or a worker that has
-not docked yet imports this module for its records only. The transforms
-look scipy.fft.fft and ifft up at call time.
 """
 
 from __future__ import annotations
@@ -195,20 +188,16 @@ def _spectrum(voxels: np.ndarray, box: tuple | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
     """FFT(G) in ``out``, an n^3 complex128 C-contiguous buffer (a new one
     when None), equal bit for bit to np.fft.fftn(G); G is only read. A
-    float64 G is copied in as complex first: scipy.fft.fftn of a real
-    array runs a real-input transform, which rounds differently.
+    float64 G is copied in as complex first, as fftn casts it.
 
     ``box`` is a half-open (lo, hi) lattice box outside which G is zero;
     None means the whole lattice. The transform is pruned to it (Sorensen
     and Burrus, IEEE Trans. Signal Process. 1993): the transform of an
     all-zero line is zero, so the last-axis pass runs only on the box's
     rows and the middle-axis pass only on its slabs, and the first-axis
-    pass runs in full. Each line is transformed as fftn transforms it.
-    scipy.fft transforms a complex128 array in place when overwrite_x is
-    set, so every pass runs in ``out``.
+    pass runs in full. Each line is transformed as fftn transforms it, and
+    every pass runs in ``out``: one view is both the input and ``out=``.
     """
-    import scipy.fft
-
     n = len(voxels)
     if out is None:
         out = np.empty((n, n, n), dtype=np.complex128)
@@ -217,9 +206,10 @@ def _spectrum(voxels: np.ndarray, box: tuple | None = None,
     out[x0:x1, :y0] = out[x0:x1, y1:] = 0
     rows = out[x0:x1, y0:y1]
     rows[...] = voxels[x0:x1, y0:y1]
-    scipy.fft.fft(rows, axis=2, overwrite_x=True)
-    scipy.fft.fft(out[x0:x1], axis=1, overwrite_x=True)
-    scipy.fft.fft(out, axis=0, overwrite_x=True)
+    np.fft.fft(rows, axis=2, out=rows)
+    slab = out[x0:x1]
+    np.fft.fft(slab, axis=1, out=slab)
+    np.fft.fft(out, axis=0, out=out)
     return out
 
 
@@ -245,10 +235,9 @@ def _correlate(
     order is written out as NumPy's temporary elision ran it in the
     expression ``rec_hat_conj * fftn(L)`` that the digests were recorded
     with: the spectrum times the receptor once the spectrum holds 256 KiB
-    (n >= 26), the receptor times the spectrum below that.
+    (n >= 26), the receptor times the spectrum below that. The three
+    inverse passes run in ``out`` as the forward ones do.
     """
-    import scipy.fft
-
     spectrum = _spectrum(ligand_voxels, box, out)
     del ligand_voxels
     if spectrum.nbytes >= _ELISION_BYTES:
@@ -256,7 +245,7 @@ def _correlate(
     else:
         np.multiply(rec_hat_conj, spectrum, out=spectrum)
     for axis in (2, 1, 0):
-        scipy.fft.ifft(spectrum, axis=axis, overwrite_x=True)
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
     return spectrum.real
 
 

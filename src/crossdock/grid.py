@@ -52,7 +52,8 @@ class ScoringParams:
     Recorded in every docking result so scores are reproducible. The weights
     follow the classic grid-correlation convention; the atom radius is
     uniform (no per-element radii) and the surface shell is a Chebyshev
-    dilation of the core, ``surface_thickness`` voxels deep.
+    dilation of the core, ``surface_thickness`` voxels deep. A weight that
+    is not finite, or a radius outside (0, inf), raises ParameterError.
     """
 
     surface_weight: float = 1.0
@@ -62,8 +63,11 @@ class ScoringParams:
     surface_thickness: int = 1
 
     def __post_init__(self):
-        if self.atom_radius <= 0:
-            raise ParameterError(f"atom_radius must be > 0, got {self.atom_radius}")
+        for name in ("surface_weight", "receptor_core_weight", "ligand_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.atom_radius < math.inf:
+            raise ParameterError(f"atom_radius must be finite and > 0, got {self.atom_radius}")
         if self.surface_thickness < 0:
             raise ParameterError(
                 f"surface_thickness must be >= 0, got {self.surface_thickness}"

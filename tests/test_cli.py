@@ -18,6 +18,10 @@ from crossdock.dispatch import BatchReport
 
 from conftest import key_points, lock_points, make_structure, sample_result, write_pdb
 
+# A complete "params" object, as ScoringParams.from_dict needs, with one NaN.
+NAN_WEIGHT = ('{"params": {"surface_weight": NaN, "receptor_core_weight": -15.0, '
+              '"ligand_weight": 1.0, "atom_radius": 1.5, "surface_thickness": 1}}')
+
 
 def test_exit_0_on_success(capsys):
     assert cli.main(["rotations", "--step", "90"]) == cli.EXIT_OK
@@ -41,7 +45,8 @@ def test_exit_2_on_a_bad_parameter(capsys):
 
 
 @pytest.mark.parametrize("config", ["[1, 2]", '{"pitch": "abc"}', '{"pitch": NaN}',
-                                    '{"top_k": 2.7}', '{"threads": true}'])
+                                    '{"top_k": 2.7}', '{"threads": true}',
+                                    pytest.param(NAN_WEIGHT, id="surface_weight-NaN")])
 def test_exit_2_on_a_bad_config_file(tmp_path, capsys, config):
     receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
     (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")

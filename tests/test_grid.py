@@ -113,6 +113,22 @@ def test_gridspec_rejects_non_smooth_and_small():
         GridSpec(n=2, pitch=1.2, origin=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["surface_weight", "receptor_core_weight",
+                                  "ligand_weight", "atom_radius"])
+def test_scoring_params_reject_a_non_finite_value(name, value):
+    """A NaN weight would empty the top-K and a NaN radius would read as a
+    grid overflow; both are parameter errors up front."""
+    with pytest.raises(ParameterError, match=name):
+        ScoringParams(**{name: value})
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.5])
+def test_scoring_params_reject_a_radius_not_above_zero(radius):
+    with pytest.raises(ParameterError, match="atom_radius"):
+        ScoringParams(atom_radius=radius)
+
+
 def sphere_membership_oracle(spec: GridSpec, center, radius: float) -> set:
     """Triple-loop scan over every voxel center."""
     hits = set()

@@ -251,6 +251,8 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
     pytest.param(with_task(ligand_path=["l1.pdb"]), id="assign-ligand-path-list"),
     pytest.param(with_result(receptor_id=None), id="result-receptor-id-null"),
     pytest.param(with_result(ligand_id=["l1"]), id="result-ligand-id-list"),
+    pytest.param(with_result(params={**ScoringParams().to_dict(), "surface_weight": math.nan}),
+                 id="result-params-nan"),
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
     """Each payload at this version fails for its own fault, not its version."""
