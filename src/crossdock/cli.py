@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 input/parse error (a missing or unreadable input
 file, or a malformed PDB); 2 grid/configuration error (a malformed analyzer
-table included); 3 batch finished with permanently failed tasks.
+table included, and a config, list or analyzer file that is not UTF-8); 3
+batch finished with permanently failed tasks.
 Error messages go to standard error. Output files are written atomically
 (temp file + rename) so an interrupted run never leaves a truncated matrix.
 """
@@ -74,8 +75,7 @@ def _add_dock_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> DockConfig:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = DockConfig.from_dict(json.load(fh))
+        cfg = DockConfig.from_dict(json.loads(costmodel._read_utf8(args.config)))
     else:
         cfg = DockConfig()
     overrides = {
@@ -102,7 +102,7 @@ def _print_config_header(cfg: DockConfig, extra: dict | None = None) -> None:
 def _read_list_file(path: str) -> list[str]:
     entries = []
     base = Path(path).parent
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in costmodel._read_utf8(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

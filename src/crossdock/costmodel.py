@@ -190,6 +190,15 @@ _CATALOG_COLUMNS = ("name", "cpu_model", "cores", "dp_peak_gflops", "gpus", "ram
 RUN_COLUMNS = ("instance", "n_instances", "wall_time_s", "n_pairs")
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a file that does not decode is a
+    ParameterError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_table(path: str | Path, columns: tuple[str, ...], kind: str,
                 build: Callable[..., object]) -> Iterator:
     """``build(*cells)`` for each data row of a tab-separated table whose
@@ -199,7 +208,7 @@ def _read_table(path: str | Path, columns: tuple[str, ...], kind: str,
     file and the line."""
     header: list[str] | None = None
     rows: list[tuple[int, list[str]]] = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(_read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in line.split("\t")]

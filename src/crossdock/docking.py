@@ -24,11 +24,14 @@ on the last bits of these transforms, so a change here that is not
 bit-identical moves it.
 
 Grids are float64. One forward routine, _spectrum, transforms the
-receptor once and the ligand at every rotation. The rotation scan
-allocates no n^3 array per rotation but the ligand grid: each scanning
-thread owns one complex128 buffer for the length of a dock_pair call, and
-the transforms, the product and the candidate reduction run in it. The
-ligand's transform skips the rows and slabs outside its voxel box, which
+receptor once and the ligand at every rotation. The rotation scan holds
+the receptor spectrum plus one n^3 complex128 buffer per scanning thread,
+which dock_pair allocates in the calling thread. Past rotation 0, which
+is reduced under no floor, no rotation allocates a float or integer n^3
+array: each rotation's ligand grid is only the block inside the rotated
+ligand's voxel box, copied into a buffer at the box's offset, and the
+transforms, the product and the candidate reduction run in that buffer.
+The ligand's transform skips the rows and slabs outside the box, which
 are all zero.
 """
 
@@ -38,7 +41,7 @@ import functools
 import json
 import math
 import os
-import threading
+import queue
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -187,25 +190,29 @@ def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
 def _spectrum(voxels: np.ndarray, box: tuple | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
     """FFT(G) in ``out``, an n^3 complex128 C-contiguous buffer (a new one
-    when None), equal bit for bit to np.fft.fftn(G); G is only read. A
-    float64 G is copied in as complex first, as fftn casts it.
+    when None), equal bit for bit to np.fft.fftn(G). ``voxels`` is only
+    read. A float64 G is copied in as complex first, as fftn casts it.
 
-    ``box`` is a half-open (lo, hi) lattice box outside which G is zero;
-    None means the whole lattice. The transform is pruned to it (Sorensen
-    and Burrus, IEEE Trans. Signal Process. 1993): the transform of an
-    all-zero line is zero, so the last-axis pass runs only on the box's
-    rows and the middle-axis pass only on its slabs, and the first-axis
-    pass runs in full. Each line is transformed as fftn transforms it, and
-    every pass runs in ``out``: one view is both the input and ``out=``.
+    ``box`` is a half-open (lo, hi) lattice box outside which G is zero,
+    and ``voxels`` is then G's block inside it, of shape hi - lo, which is
+    copied into ``out`` at lo (``out`` must be given); with None,
+    ``voxels`` is the whole G. The transform is pruned to the box
+    (Sorensen and Burrus, IEEE Trans. Signal Process. 1993): the transform
+    of an all-zero line is zero, so the last-axis pass runs only on the
+    box's rows and the middle-axis pass only on its slabs, and the
+    first-axis pass runs in full. Each line is transformed as fftn
+    transforms it, and every pass runs in ``out``: one view is both the
+    input and ``out=``.
     """
-    n = len(voxels)
     if out is None:
-        out = np.empty((n, n, n), dtype=np.complex128)
-    (x0, y0, _), (x1, y1, _) = box if box is not None else ((0, 0, 0), (n, n, n))
+        out = np.empty(voxels.shape, dtype=np.complex128)
+    n = len(out)
+    (x0, y0, z0), (x1, y1, z1) = box if box is not None else ((0, 0, 0), (n, n, n))
     out[:x0] = out[x1:] = 0
     out[x0:x1, :y0] = out[x0:x1, y1:] = 0
     rows = out[x0:x1, y0:y1]
-    rows[...] = voxels[x0:x1, y0:y1]
+    rows[..., :z0] = rows[..., z1:] = 0
+    rows[..., z0:z1] = voxels
     np.fft.fft(rows, axis=2, out=rows)
     slab = out[x0:x1]
     np.fft.fft(slab, axis=1, out=slab)
@@ -227,9 +234,10 @@ def _correlate(
     equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
     np.fft.fftn(L))): a real view into ``out``, the n^3 complex128
     C-contiguous buffer that the transforms and the product run in (a new
-    one when None). ``box`` prunes the forward transform, as in
-    _spectrum. A ligand grid passed as a temporary is freed before
-    the inverse transforms.
+    one when None). With a ``box``, ``ligand_voxels`` is L's block inside
+    it, as in _spectrum, which prunes the forward transform to the box. A
+    ligand grid passed as a temporary is freed before the inverse
+    transforms.
 
     The two operand orders of the product can round differently, so the
     order is written out as NumPy's temporary elision ran it in the
@@ -238,7 +246,8 @@ def _correlate(
     (n >= 26), the receptor times the spectrum below that. The three
     inverse passes run in ``out`` as the forward ones do.
     """
-    spectrum = _spectrum(ligand_voxels, box, out)
+    spectrum = _spectrum(ligand_voxels, box,
+                         out if out is not None else np.empty_like(rec_hat_conj))
     del ligand_voxels
     if spectrum.nbytes >= _ELISION_BYTES:
         np.multiply(spectrum, rec_hat_conj, out=spectrum)
@@ -494,11 +503,11 @@ class _TopK:
 
     A candidate is buffered only if it beats the K-th kept entry: a higher
     score, or an equal score and a smaller key. Once the buffer holds K
-    entries, and before sorted_poses, one lexsort by (-score, key) folds it
-    into the kept set, which therefore depends only on the multiset of
-    candidates, never on merge order. Once K entries are kept, ``floor`` is
-    the K-th score (-inf before): it never decreases, and no entry scoring
-    below it can enter the set any more.
+    entries, and before sorted_poses, the buffer is folded into the kept
+    set: the K best by (-score, key), which therefore depend only on the
+    multiset of candidates, never on merge order. Once K entries are kept,
+    ``floor`` is the K-th score (-inf before): it never decreases, and no
+    entry scoring below it can enter the set any more.
     """
 
     def __init__(self, k: int):
@@ -525,10 +534,17 @@ class _TopK:
             self._fold()
 
     def _fold(self) -> None:
-        scores = np.concatenate([self._scores, *(s for s, _ in self._buffer)])
+        # A partition finds the K-th best score, and only the entries at or
+        # above it (ties included) are sorted: by key, which is unique, then
+        # stably by score.
+        neg = -np.concatenate([self._scores, *(s for s, _ in self._buffer)])
         keys = np.concatenate([self._keys, *(k for _, k in self._buffer)])
-        best = np.lexsort((keys, -scores))[: self.k]
-        self._scores, self._keys = scores[best], keys[best]
+        if len(neg) > self.k:
+            keep = neg <= np.partition(neg, self.k - 1)[self.k - 1]
+            neg, keys = neg[keep], keys[keep]
+        by_key = np.argsort(keys)
+        best = by_key[np.argsort(neg[by_key], kind="stable")[: self.k]]
+        self._scores, self._keys = -neg[best], keys[best]
         self._buffer, self._buffered = [], 0
         if len(best) == self.k:
             self.floor = float(self._scores[-1])
@@ -554,15 +570,22 @@ def _best_candidates(
     ``floor`` is a published _TopK.floor: an entry below it could never
     enter the top-K, so dropping it first changes no merged result, at any
     thread count. With a floor of -inf every entry is a candidate.
+
+    The threshold comes first: when more than k entries clear the floor,
+    their values are partitioned in place and the floor is raised to the
+    k-th best of them, so the index array holds only the entries at or
+    above the k-th best score (its ties included).
     """
     flat = volume.reshape(-1)  # a view: the volume is an n^3 real view of a buffer
     k = min(k, flat.size)
-    sel = np.flatnonzero(flat >= floor)
-    neg = -flat[sel]
-    if sel.size > k:
-        keep = neg <= np.partition(neg, k - 1)[k - 1]
-        sel, neg = sel[keep], neg[keep]
-    idx = sel[np.lexsort((sel, neg))[:k]]
+    above = flat >= floor
+    if np.count_nonzero(above) > k:
+        values = flat[above]
+        values.partition(values.size - k)
+        above = flat >= values[-k]
+        del values
+    sel = np.flatnonzero(above)
+    idx = sel[np.argsort(-flat[sel], kind="stable")[:k]]
     return idx, flat[idx]
 
 
@@ -606,13 +629,15 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
 
     The receptor grid and its transform are built exactly once. Each
     rotation's candidates, those at or above the published floor, are
-    merged as arrays into _TopK, which folds them in with one lexsort per
-    K buffered entries. Results are bit-identical across runs and across
-    thread counts (wall_time aside). ``config.threads`` = 0 means all
-    logical cores, or inside a dispatch lane the lane's share of them
-    (thread_budget). The margin must absorb the ligand's rotation sweep: a
-    very elongated ligand against a much smaller receptor can overflow the
-    grid, which raises GridOverflowError naming the atom.
+    merged as arrays into _TopK, which folds them in once per K buffered
+    entries. Rotation 0 is scanned first, in the calling thread, so that
+    the other rotations, pooled or not, are reduced under the floor it
+    publishes once K entries are kept. Results are bit-identical across
+    runs and across thread counts (wall_time aside). ``config.threads`` =
+    0 means all logical cores, or inside a dispatch lane the lane's share
+    of them (thread_budget). The margin must absorb the ligand's rotation
+    sweep: a very elongated ligand against a much smaller receptor can
+    overflow the grid, which raises GridOverflowError naming the atom.
     """
     config = config or DockConfig()
     t_start = time.perf_counter()
@@ -627,28 +652,39 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     rec_hat_conj = _spectrum(assign_grid(receptor, spec, RECEPTOR, config.params).voxels)
     np.conj(rec_hat_conj, out=rec_hat_conj)
     top = _TopK(config.top_k)
-    local = threading.local()  # each scanning thread's buffer, for this call only
+    # One buffer per scanning thread, for this call only: a scan takes one
+    # and puts it back, so no two concurrent scans share one.
+    workers = min(config.resolved_threads(), len(rotations))
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    buffers.put(np.empty_like(rec_hat_conj))
 
     def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
         rotated = rotate_structure(centered, rotations[ri], lig_center)
-        buffer = getattr(local, "buffer", None)
-        if buffer is None:
-            buffer = local.buffer = np.empty_like(rec_hat_conj)
-        volume = _correlate(
-            rec_hat_conj,
-            assign_grid(rotated, spec, LIGAND, config.params).voxels,
-            _core_box(rotated.coords(), spec, config.params.atom_radius),
-            buffer,
-        )
-        return _best_candidates(volume, config.top_k, top.floor)
+        box = _core_box(rotated.coords(), spec, config.params.atom_radius)
+        buffer = buffers.get()
+        try:
+            volume = _correlate(
+                rec_hat_conj,
+                assign_grid(rotated, spec, LIGAND, config.params, box).voxels,
+                box,
+                buffer,
+            )
+            return _best_candidates(volume, config.top_k, top.floor)
+        finally:
+            buffers.put(buffer)
 
-    workers = config.resolved_threads()
+    top.merge(0, *scan_rotation(0), spec.n)
+    # The other threads' buffers come once rotation 0, reduced under no
+    # floor, has freed its temporaries.
+    for _ in range(1, workers):
+        buffers.put(np.empty_like(rec_hat_conj))
     if workers <= 1:
-        for ri in range(len(rotations)):
+        for ri in range(1, len(rotations)):
             top.merge(ri, *scan_rotation(ri), spec.n)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for ri, (idx, scores) in enumerate(pool.map(scan_rotation, range(len(rotations)))):
+            scans = pool.map(scan_rotation, range(1, len(rotations)))
+            for ri, (idx, scores) in enumerate(scans, start=1):
                 top.merge(ri, idx, scores, spec.n)
 
     poses = top.sorted_poses()

@@ -170,8 +170,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DockGrid:
-    """Voxel weights for one structure. ``voxels`` is float64 with shape
-    (n, n, n), indexed [x, y, z]."""
+    """Voxel weights for one structure. ``voxels`` is float64, indexed
+    [x, y, z]: the whole (n, n, n) lattice, or, for a ligand grid that
+    assign_grid built in a box (lo, hi), the block of the lattice inside
+    the box, of shape hi - lo, with every voxel outside it zero."""
 
     spec: GridSpec
     voxels: np.ndarray
@@ -227,20 +229,24 @@ def _core_box(xyz: np.ndarray, spec: GridSpec, radius: float) -> tuple[np.ndarra
 
 
 @functools.lru_cache
-def _stencil(m: int, n: int) -> np.ndarray:
-    """Flat offsets, on an n^3 lattice, of the m^3 cube from its corner."""
+def _stencil(m: int, ny: int, nz: int) -> np.ndarray:
+    """Flat offsets, in a C-order block of ny x nz rows, of the m^3 cube
+    from its corner."""
     steps = np.arange(m)
     ox, oy, oz = np.meshgrid(steps, steps, steps, indexing="ij")
-    stencil = ((ox * n + oy) * n + oz).ravel()
+    stencil = ((ox * ny + oy) * nz + oz).ravel()
     stencil.flags.writeable = False
     return stencil
 
 
-def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
+def _core_mask(s: Structure, spec: GridSpec, radius: float, box=None) -> np.ndarray:
     """Boolean (n,n,n) mask of voxels whose center lies within ``radius`` of
-    any atom center. Raises GridOverflowError (naming the serial of the
-    first such atom in file order) when an atom's inflated bounding cube
-    maps outside the voxel lattice.
+    any atom center, or with ``box`` = (lo, hi) its block inside that
+    half-open lattice box, of shape hi - lo. Raises GridOverflowError
+    (naming the serial of the first such atom in file order) when an atom's
+    inflated bounding cube maps outside the voxel lattice, and
+    ParameterError when ``box`` lies outside the lattice or does not hold
+    _core_box of the atoms.
 
     All atoms are rasterized at once: each atom's voxel extent [lo, hi] per
     axis, then one stencil of m = max(hi - lo) + 1 offsets per axis from lo,
@@ -257,12 +263,19 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
     if outside.size:
         raise GridOverflowError(s.atoms[outside[0]].serial,
                                 "inflated atom extends outside the grid")
-    mask = np.zeros(n * n * n, dtype=bool)
+    b_lo, b_hi = (np.asarray(b) for b in (box if box is not None else ((0,) * 3, (n,) * 3)))
+    if ((b_lo < 0) | (b_lo > lo.min(axis=0, initial=n))
+            | (b_hi <= hi.max(axis=0, initial=-1)) | (b_hi > n)).any():
+        raise ParameterError(f"box {b_lo.tolist()}..{b_hi.tolist()} does not hold "
+                             f"the core of {s.id!r} inside the lattice")
+    shape = tuple(max(0, int(b - a)) for a, b in zip(b_lo, b_hi))
+    mask = np.zeros(math.prod(shape), dtype=bool)
     m = int((hi - lo).max(initial=-1)) + 1
     if m < 1:
-        return mask.reshape(n, n, n)  # no sphere catches a voxel center
+        return mask.reshape(shape)  # no sphere catches a voxel center
     steps = np.arange(m)
-    stencil = _stencil(m, n)
+    _, ny, nz = shape
+    stencil = _stencil(m, ny, nz)
     r2 = radius * radius
     chunk = max(1, _CORE_MASK_CHUNK_CELLS // m**3)
     for a in range(0, len(xyz), chunk):
@@ -274,9 +287,10 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float) -> np.ndarray:
             d2[:, 0, :, None, None] + d2[:, 1, None, :, None] + d2[:, 2, None, None, :]
         ) <= r2
         atom, cell = np.nonzero(within.reshape(len(c_xyz), -1))
-        base = (c_lo[:, 0] * n + c_lo[:, 1]) * n + c_lo[:, 2]
+        corner = c_lo - b_lo
+        base = (corner[:, 0] * ny + corner[:, 1]) * nz + corner[:, 2]
         mask[base[atom] + stencil[cell]] = True
-    return mask.reshape(n, n, n)
+    return mask.reshape(shape)
 
 
 def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
@@ -299,6 +313,7 @@ def assign_grid(
     spec: GridSpec,
     role: str,
     params: ScoringParams | None = None,
+    box=None,
 ) -> DockGrid:
     """Rasterize a structure onto ``spec`` with role-dependent weights.
 
@@ -311,6 +326,12 @@ def assign_grid(
     lattice raises GridOverflowError naming its serial. Translating the
     structure by whole voxels rolls the grid (``np.roll``) only while the
     shifted atoms stay inside.
+
+    A ligand grid may be built in a box: with ``box`` = (lo, hi), a
+    half-open lattice box that holds _core_box of the atoms, ``voxels`` is
+    only the block of the grid inside it, of shape hi - lo; every voxel
+    outside the box is zero. A receptor grid always covers the lattice,
+    since its surface shell reaches past the core box.
     """
     if role not in (RECEPTOR, LIGAND):
         raise ParameterError(f"role must be {RECEPTOR!r} or {LIGAND!r}, got {role!r}")
@@ -318,9 +339,11 @@ def assign_grid(
         params = ScoringParams()
     if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
+    if box is not None and role != LIGAND:
+        raise ParameterError("only a ligand grid is built in a box")
 
-    core = _core_mask(s, spec, params.atom_radius)
-    voxels = np.zeros((spec.n, spec.n, spec.n))
+    core = _core_mask(s, spec, params.atom_radius, box)
+    voxels = np.zeros(core.shape)
     if role == LIGAND:
         voxels[core] = params.ligand_weight
     else:

@@ -46,16 +46,31 @@ def test_exit_2_on_a_bad_parameter(capsys):
 
 @pytest.mark.parametrize("config", ["[1, 2]", '{"pitch": "abc"}', '{"pitch": NaN}',
                                     '{"top_k": 2.7}', '{"threads": true}',
-                                    pytest.param(NAN_WEIGHT, id="surface_weight-NaN")])
+                                    pytest.param(NAN_WEIGHT, id="surface_weight-NaN"),
+                                    pytest.param(b"\xff\xfe", id="not-utf-8")])
 def test_exit_2_on_a_bad_config_file(tmp_path, capsys, config):
     receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
     (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
-    (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(config, encoding="utf-8")
     lists = [str(tmp_path / "list.txt")] * 2
-    code = cli.main(["cross", *lists, "--config", str(tmp_path / "cfg.json"), "--dry-run"])
+    code = cli.main(["cross", *lists, "--config", str(cfg), "--dry-run"])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_2_on_a_list_file_that_is_not_utf_8(tmp_path, capsys):
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")
+    code = cli.main(["cross", str(tmp_path / "list.txt"), str(tmp_path / "bad.txt"), "--dry-run"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.txt" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
@@ -96,6 +111,11 @@ def test_exit_2_on_a_malformed_analyzer_table(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["analyze", "--runs", str(runs)]) == cli.EXIT_CONFIG
     assert f"{runs} line 2" in capsys.readouterr().err
+    runs.write_bytes(b"\xff\xfe")
+    for flag in ("--runs", "--catalog"):
+        assert cli.main(["analyze", flag, str(runs)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {runs}") and "Traceback" not in err
 
 
 DATA = Path(__file__).parent / "data"

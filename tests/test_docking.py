@@ -6,8 +6,8 @@ for bit against the NumPy transforms, the box-pruned forward transform bit
 for bit against fftn, dock_pair end to end (the
 lock-and-key pose, re-scoring by a direct cyclic sum), the array-backed
 Structure API, the call seams the benchmark's tracer patches, that the
-scan's transforms allocate no n^3 temporary, and that no process loads
-SciPy."""
+scan's transforms allocate no n^3 temporary and the scan holds one buffer
+per thread, and that no process loads SciPy."""
 
 import dataclasses
 import hashlib
@@ -87,6 +87,19 @@ def test_golden_top_k_and_thread_counts(blob_pair):
     assert single.grid_spec.n == 36 and len(single.top_poses) == 2000
     assert digest(single.top_poses) == GOLDEN_TOP_K
     assert exact(double.top_poses) == exact(single.top_poses)
+
+
+def test_more_scanning_threads_than_cores_share_no_buffer(blob_pair):
+    """Eight scanning threads, switched every microsecond: a buffer handed
+    to two scans at once would corrupt a volume and move the top-K."""
+    rec, lig = blob_pair
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = dock_pair(rec, lig, DockConfig(angular_step=60.0, threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert digest(result.top_poses) == GOLDEN_TOP_K
 
 
 def merged_top_k(volumes, k: int, floor_lag: int | None, order=None) -> tuple[list, int]:
@@ -378,34 +391,41 @@ def pruning_cases(n: int) -> dict:
     }
 
 
+def inside(box) -> tuple[slice, ...]:
+    """The index of a lattice box's block in an n^3 grid."""
+    return tuple(slice(a, b) for a, b in zip(*box))
+
+
 def grid_in_box(rng: np.random.Generator, n: int, box) -> np.ndarray:
     """An n^3 complex grid, random inside ``box`` and zero outside it."""
     grid = np.zeros((n, n, n), dtype=np.complex128)
-    inside = tuple(slice(a, b) for a, b in zip(*box))
-    shape = grid[inside].shape
-    grid[inside] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    shape = grid[inside(box)].shape
+    grid[inside(box)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return grid
 
 
 @pytest.mark.parametrize("n", [24, 25, 26, 27, 30, 45, 54])
 def test_pruned_forward_transform_is_fftn_bit_for_bit(n):
-    """The ligand spectrum pruned to the ligand's box equals the full
-    fftn byte for byte, in a buffer that held other values before."""
+    """The ligand spectrum of the box's block, pruned to the box, equals
+    the full grid's fftn byte for byte, in a buffer that held other values
+    before."""
     rng = np.random.default_rng([71, n])
     for name, box in pruning_cases(n).items():
         grid = grid_in_box(rng, n, box)
-        before = grid.tobytes()
+        block = grid[inside(box)].copy()
+        before = block.tobytes()
         out = np.full((n, n, n), np.nan + 1j * np.nan)
-        got = docking._spectrum(grid, box, out)
+        got = docking._spectrum(block, box, out)
         assert got is out
         assert got.tobytes() == scipy.fft.fftn(grid, axes=(2, 1, 0)).tobytes(), name
-        assert grid.tobytes() == before, name
+        assert block.tobytes() == before, name
 
 
 @pytest.mark.parametrize("n", [25, 26])
 def test_a_pruned_correlation_equals_the_unpruned_one_bit_for_bit(n):
-    """On either side of the operand-order switch at n = 26, and in one
-    buffer reused from box to box."""
+    """The box's block against the whole grid, on either side of the
+    operand-order switch at n = 26, and in one buffer reused from box to
+    box."""
     rng = np.random.default_rng([73, n])
     rec_hat_conj = np.conj(docking._spectrum(rng.choice([0.0, 1.0, -15.0], size=(n, n, n))))
     out = np.empty((n, n, n), dtype=np.complex128)
@@ -413,7 +433,8 @@ def test_a_pruned_correlation_equals_the_unpruned_one_bit_for_bit(n):
         ligand = grid_in_box(rng, n, box).real.round() + 0j
         want = docking._correlate(rec_hat_conj, ligand).tobytes()
         assert numpy_correlate(rec_hat_conj, ligand).tobytes() == want, name
-        assert docking._correlate(rec_hat_conj, ligand, box, out).tobytes() == want, name
+        block = ligand[inside(box)].copy()
+        assert docking._correlate(rec_hat_conj, block, box, out).tobytes() == want, name
 
 
 def test_fft_correlate_leaves_its_input_grids_unchanged():
@@ -540,13 +561,13 @@ def test_tracing_seams_are_called_once_per_rotation(monkeypatch, threads, blob_p
 
 def test_a_pruned_correlation_allocates_no_grid_sized_temporary():
     """Every transform pass and the product run in the buffer: at n = 54 a
-    correlation into ``out`` allocates less than one n^3 float64 grid."""
+    correlation of a box's block into ``out`` allocates less than one n^3
+    float64 grid."""
     n = 54
     rng = np.random.default_rng(79)
     rec_hat_conj = np.conj(docking._spectrum(rng.choice([0.0, 1.0, -15.0], size=(n, n, n))))
     box = ((10, 12, 14), (30, 32, 34))
-    ligand = np.zeros((n, n, n))
-    ligand[tuple(slice(a, b) for a, b in zip(*box))] = 1.0
+    ligand = np.ones((20, 20, 20))
     out = np.empty((n, n, n), dtype=np.complex128)
     docking._correlate(rec_hat_conj, ligand, box, out=out)
     tracemalloc.start()
@@ -556,6 +577,27 @@ def test_a_pruned_correlation_allocates_no_grid_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < n ** 3 * 8
+
+
+def test_the_rotation_scan_holds_one_buffer_per_thread():
+    """At n = 54 and 2 threads, dock_pair's traced peak stays below the
+    receptor spectrum plus one complex128 n^3 buffer per thread, one
+    float64 n^3 array (the receptor grid, or rotation 0's values above an
+    unset floor) and 1 MiB: no rotation allocates a float or integer n^3
+    array, in the calling thread or in a pool thread."""
+    rng = np.random.default_rng(83)
+    rec, lig = blob(rng, "rec", 300, 36.0), blob(rng, "lig", 80, 18.0)
+    config = DockConfig(angular_step=90.0, threads=2)
+    dock_pair(rec, lig, config)  # first-call caches (rotation set, stencils)
+    tracemalloc.start()
+    try:
+        result = dock_pair(rec, lig, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = result.grid_spec.n
+    assert n == 54
+    assert peak < (config.threads + 1) * n**3 * 16 + n**3 * 8 + 2**20
 
 
 LEAN_MODULES = ["crossdock", "crossdock.cli", "crossdock.costmodel",

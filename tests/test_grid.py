@@ -11,6 +11,7 @@ from crossdock.grid import (
     RECEPTOR,
     GridSpec,
     ScoringParams,
+    _core_box,
     _core_mask,
     _dilate,
     assign_grid,
@@ -226,6 +227,42 @@ class TestRasterizationOracle:
                     receptor.voxels.real == params.receptor_core_weight, want, err_msg=msg)
 
     @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
+    def test_box_grids_are_blocks_of_the_lattice_grid(self, pitch):
+        """A ligand grid built in its _core_box, or in a larger box, is the
+        block of the whole-lattice grid inside the box, and that grid is
+        zero outside it."""
+        rng = np.random.default_rng([89, int(pitch * 10)])
+        n = 20
+        for trial in range(6):
+            radius = float(rng.choice([0.2, 0.45, 1.0, 1.5, 2.3]))
+            params = ScoringParams(atom_radius=radius)
+            spec = GridSpec(n=n, pitch=pitch, origin=(-1.0, 0.5, 2.0))
+            low = np.asarray(spec.origin) + radius
+            high = np.asarray(spec.origin) + (n - 1) * pitch - radius
+            coords = rng.uniform(low, high, size=(int(rng.integers(1, 30)), 3))
+            s = Structure(id="b", atoms=random_atoms(rng, coords))
+            whole = assign_grid(s, spec, LIGAND, params).voxels
+            lo, hi = _core_box(coords, spec, radius)  # hi < lo on an axis with no center
+            for box in ((lo, hi), (np.maximum(lo - 1, 0), np.minimum(hi + 2, n))):
+                inside = tuple(slice(a, b) for a, b in zip(*box))
+                got = assign_grid(s, spec, LIGAND, params, box).voxels
+                assert got.dtype == np.float64 and got.shape == whole[inside].shape
+                np.testing.assert_array_equal(got, whole[inside], err_msg=f"trial {trial}")
+                outside = whole.copy()
+                outside[inside] = 0.0
+                assert not outside.any(), f"trial {trial}"
+
+    def test_a_box_must_hold_the_core_inside_the_lattice(self):
+        spec = GridSpec(n=12, pitch=1.0, origin=(0.0, 0.0, 0.0))
+        s = single_atom("one", 5.0, 5.0, 5.0)
+        lo, hi = _core_box(s.coords(), spec, ScoringParams().atom_radius)
+        for box in ((lo + 1, hi), (lo, hi - 1), (lo - 5, hi), (lo, hi + 6)):
+            with pytest.raises(ParameterError):
+                assign_grid(s, spec, LIGAND, None, box)
+        with pytest.raises(ParameterError):
+            assign_grid(s, spec, RECEPTOR, None, (lo, hi))
+
+    @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
     def test_tangent_atoms_match_the_loop_oracle(self, pitch):
         # Atoms offset from a voxel center by a vector of length radius
         # (radius along an axis, or a 3-4-5 split of it), so some distances
@@ -277,6 +314,10 @@ class TestRasterizationOracle:
         serials = [a.serial for a in s.atoms]
         with pytest.raises(GridOverflowError) as err:
             assign_grid(s, spec, LIGAND)
+        assert err.value.serial == serials[1]
+        box = _core_box(coords, spec, ScoringParams().atom_radius)
+        with pytest.raises(GridOverflowError) as err:
+            assign_grid(s, spec, LIGAND, None, box)
         assert err.value.serial == serials[1]
         with pytest.raises(GridOverflowError) as oracle_err:
             core_mask_loop_oracle(s, spec, ScoringParams().atom_radius)
