@@ -14,6 +14,7 @@ seconds, 0.1 USD and 3 scaling decimals; full precision is kept internally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -55,6 +56,9 @@ class InstanceSpec:
     price_usd_per_hour: float
 
     def __post_init__(self):
+        for field in ("dp_peak_gflops", "ram_gb", "price_usd_per_hour"):
+            if not math.isfinite(value := getattr(self, field)):
+                raise ParameterError(f"{self.name}: {field} must be finite, got {value}")
         if self.cores <= 0:
             raise ParameterError(f"{self.name}: cores must be > 0")
         if self.price_usd_per_hour <= 0:
@@ -73,8 +77,8 @@ class RunRecord:
     n_pairs: int
 
     def __post_init__(self):
-        if self.n_instances <= 0 or self.wall_time_s <= 0 or self.n_pairs <= 0:
-            raise ParameterError(f"run record fields must be positive: {self}")
+        if self.n_instances <= 0 or not 0 < self.wall_time_s < math.inf or self.n_pairs <= 0:
+            raise ParameterError(f"run record fields must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)

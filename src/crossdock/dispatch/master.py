@@ -29,6 +29,7 @@ by the SHUTDOWN broadcast.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import socket
 import threading
@@ -62,6 +63,8 @@ class DispatchPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise DispatchError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not 0 < self.startup_timeout < math.inf:
+            raise DispatchError(f"startup_timeout must be in (0, inf), got {self.startup_timeout}")
 
 
 @dataclass

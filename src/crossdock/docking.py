@@ -23,16 +23,16 @@ depends on n (see _correlate). The top-K breaks ties between equal scores
 on the last bits of these transforms, so a change here that is not
 bit-identical moves it.
 
-Grids are float64. One forward routine, _spectrum, transforms the
-receptor once and the ligand at every rotation. The rotation scan holds
-the receptor spectrum plus one n^3 complex128 buffer per scanning thread,
-which dock_pair allocates in the calling thread. Past rotation 0, which
-is reduced under no floor, no rotation allocates a float or integer n^3
-array: each rotation's ligand grid is only the block inside the rotated
-ligand's voxel box, copied into a buffer at the box's offset, and the
-transforms, the product and the candidate reduction run in that buffer.
-The ligand's transform skips the rows and slabs outside the box, which
-are all zero.
+Grids are float64, and assign_grid builds each one as the block inside
+its structure's voxel box, with the block's lattice offset. One forward
+routine, _spectrum, copies a block into an n^3 buffer at its offset and
+transforms it, skipping the rows and slabs outside the block, which are
+all zero. It transforms the receptor once and the ligand at every
+rotation. The rotation scan holds the receptor spectrum plus one n^3
+complex128 buffer per scanning thread, which dock_pair allocates in the
+calling thread. Past rotation 0, which is reduced under no floor, no
+rotation allocates a float or integer n^3 array: the transforms, the
+product and the candidate reduction run in the buffer.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .grid import (
     RECEPTOR,
     GridSpec,
     ScoringParams,
-    _core_box,
     assign_grid,
     choose_grid_size,
     float_field,
@@ -187,32 +186,28 @@ def rotate_structure(s: Structure, q: np.ndarray, center) -> Structure:
     return s.with_coords(coords)
 
 
-def _spectrum(voxels: np.ndarray, box: tuple | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """FFT(G) in ``out``, an n^3 complex128 C-contiguous buffer (a new one
-    when None), equal bit for bit to np.fft.fftn(G). ``voxels`` is only
-    read. A float64 G is copied in as complex first, as fftn casts it.
+def _spectrum(block: np.ndarray, lo=(0, 0, 0), out: np.ndarray | None = None) -> np.ndarray:
+    """FFT(G) in ``out``, an n^3 complex128 C-contiguous buffer, equal bit
+    for bit to np.fft.fftn(G). ``block`` is G from lattice index ``lo`` on,
+    and G is zero outside it; it is only read, and copied into ``out`` at
+    ``lo`` (a float64 block as complex, as fftn casts it). With ``out``
+    None, a new buffer of the block's shape, so the block is the whole G.
 
-    ``box`` is a half-open (lo, hi) lattice box outside which G is zero,
-    and ``voxels`` is then G's block inside it, of shape hi - lo, which is
-    copied into ``out`` at lo (``out`` must be given); with None,
-    ``voxels`` is the whole G. The transform is pruned to the box
-    (Sorensen and Burrus, IEEE Trans. Signal Process. 1993): the transform
-    of an all-zero line is zero, so the last-axis pass runs only on the
-    box's rows and the middle-axis pass only on its slabs, and the
-    first-axis pass runs in full. Each line is transformed as fftn
-    transforms it, and every pass runs in ``out``: one view is both the
-    input and ``out=``.
+    The transform is pruned to the block (Sorensen and Burrus, IEEE Trans.
+    Signal Process. 1993): the transform of an all-zero line is zero, so
+    the last-axis pass runs only on the block's rows and the middle-axis
+    pass only on its slabs, and the first-axis pass runs in full. Each line
+    is transformed as fftn transforms it, and every pass runs in ``out``:
+    one view is both the input and ``out=``.
     """
     if out is None:
-        out = np.empty(voxels.shape, dtype=np.complex128)
-    n = len(out)
-    (x0, y0, z0), (x1, y1, z1) = box if box is not None else ((0, 0, 0), (n, n, n))
+        out = np.empty(block.shape, dtype=np.complex128)
+    (x0, y0, z0), (x1, y1, z1) = lo, np.add(lo, block.shape).tolist()
     out[:x0] = out[x1:] = 0
     out[x0:x1, :y0] = out[x0:x1, y1:] = 0
     rows = out[x0:x1, y0:y1]
     rows[..., :z0] = rows[..., z1:] = 0
-    rows[..., z0:z1] = voxels
+    rows[..., z0:z1] = block
     np.fft.fft(rows, axis=2, out=rows)
     slab = out[x0:x1]
     np.fft.fft(slab, axis=1, out=slab)
@@ -224,20 +219,15 @@ def _spectrum(voxels: np.ndarray, box: tuple | None = None,
 _ELISION_BYTES = 256 * 1024
 
 
-def _correlate(
-    rec_hat_conj: np.ndarray,
-    ligand_voxels: np.ndarray,
-    box: tuple | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Correlation volume of one ligand grid against conj(_spectrum(R)),
+def _correlate(rec_hat_conj: np.ndarray, block: np.ndarray, lo=(0, 0, 0),
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Correlation volume of one ligand grid L against conj(_spectrum(R)),
     equal bit for bit to np.real(np.fft.ifftn(rec_hat_conj *
     np.fft.fftn(L))): a real view into ``out``, the n^3 complex128
     C-contiguous buffer that the transforms and the product run in (a new
-    one when None). With a ``box``, ``ligand_voxels`` is L's block inside
-    it, as in _spectrum, which prunes the forward transform to the box. A
-    ligand grid passed as a temporary is freed before the inverse
-    transforms.
+    one when None). ``block`` is L from lattice index ``lo`` on, as in
+    _spectrum, which prunes the forward transform to it. A block passed as
+    a temporary is freed before the inverse transforms.
 
     The two operand orders of the product can round differently, so the
     order is written out as NumPy's temporary elision ran it in the
@@ -246,9 +236,8 @@ def _correlate(
     (n >= 26), the receptor times the spectrum below that. The three
     inverse passes run in ``out`` as the forward ones do.
     """
-    spectrum = _spectrum(ligand_voxels, box,
-                         out if out is not None else np.empty_like(rec_hat_conj))
-    del ligand_voxels
+    spectrum = _spectrum(block, lo, out if out is not None else np.empty_like(rec_hat_conj))
+    del block
     if spectrum.nbytes >= _ELISION_BYTES:
         np.multiply(spectrum, rec_hat_conj, out=spectrum)
     else:
@@ -316,8 +305,9 @@ class DockConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "DockConfig":
         """Fields missing from ``d`` keep their defaults. ``d`` that is not
-        a mapping, or a value that does not convert exactly (a bool, or a
-        fraction where an int is due), is a ParameterError."""
+        a mapping, a key that names no field (in ``d`` or in its "params"),
+        or a value that does not convert exactly (a bool, or a fraction
+        where an int is due), is a ParameterError naming the key."""
         if not isinstance(d, dict):
             raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
         convert = {"pitch": float_field, "margin_voxels": int_field,
@@ -325,13 +315,14 @@ class DockConfig:
                    "params": ScoringParams.from_dict, "threads": int_field}
         fields = {}
         for key, value in d.items():
-            if key in convert:
-                try:
-                    fields[key] = convert[key](value)
-                except (TypeError, ValueError, KeyError, OverflowError) as exc:
-                    raise ParameterError(
-                        f"config field {key!r}: bad value {value!r} "
-                        f"({type(exc).__name__}: {exc})") from None
+            if key not in convert:
+                raise ParameterError(f"config has no field {key!r}")
+            try:
+                fields[key] = convert[key](value)
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise ParameterError(
+                    f"config field {key!r}: bad value {value!r} "
+                    f"({type(exc).__name__}: {exc})") from None
         return cls(**fields)
 
 
@@ -649,8 +640,11 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     # this centered layout.
     centered = ligand.with_coords(_centered_coords(ligand, spec))
     lig_center = spec.center()
-    rec_hat_conj = _spectrum(assign_grid(receptor, spec, RECEPTOR, config.params).voxels)
+    rec_grid = assign_grid(receptor, spec, RECEPTOR, config.params)
+    rec_hat_conj = _spectrum(rec_grid.block, rec_grid.lo,
+                             np.empty((spec.n,) * 3, dtype=np.complex128))
     np.conj(rec_hat_conj, out=rec_hat_conj)
+    del rec_grid
     top = _TopK(config.top_k)
     # One buffer per scanning thread, for this call only: a scan takes one
     # and puts it back, so no two concurrent scans share one.
@@ -659,16 +653,11 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     buffers.put(np.empty_like(rec_hat_conj))
 
     def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
-        rotated = rotate_structure(centered, rotations[ri], lig_center)
-        box = _core_box(rotated.coords(), spec, config.params.atom_radius)
+        grid = assign_grid(rotate_structure(centered, rotations[ri], lig_center),
+                           spec, LIGAND, config.params)
         buffer = buffers.get()
         try:
-            volume = _correlate(
-                rec_hat_conj,
-                assign_grid(rotated, spec, LIGAND, config.params, box).voxels,
-                box,
-                buffer,
-            )
+            volume = _correlate(rec_hat_conj, grid.block, grid.lo, buffer)
             return _best_candidates(volume, config.top_k, top.floor)
         finally:
             buffers.put(buffer)

@@ -84,13 +84,18 @@ class ScoringParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoringParams":
-        return cls(
+        """The params whose to_dict() is ``d``; a key that names no field
+        is a ParameterError naming it."""
+        params = cls(
             surface_weight=float_field(d["surface_weight"]),
             receptor_core_weight=float_field(d["receptor_core_weight"]),
             ligand_weight=float_field(d["ligand_weight"]),
             atom_radius=float_field(d["atom_radius"]),
             surface_thickness=int_field(d["surface_thickness"]),
         )
+        if unknown := d.keys() - params.to_dict().keys():
+            raise ParameterError(f"unknown scoring parameter {min(unknown)!r}")
+        return params
 
 
 def int_field(value) -> int:
@@ -140,7 +145,8 @@ def next_radix_friendly(n: int) -> int:
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic voxel lattice: n voxels per edge, ``origin`` is the center of
-    voxel (0, 0, 0)."""
+    voxel (0, 0, 0). A pitch outside (0, inf) or an origin that is not
+    finite raises ParameterError."""
 
     n: int
     pitch: float
@@ -151,8 +157,10 @@ class GridSpec:
             raise ParameterError(f"grid edge must be >= 4 voxels, got {self.n}")
         if not is_radix_friendly(self.n):
             raise ParameterError(f"grid edge {self.n} is not 5-smooth")
-        if self.pitch <= 0:
-            raise ParameterError(f"pitch must be > 0, got {self.pitch}")
+        if not 0 < self.pitch < math.inf:
+            raise ParameterError(f"pitch must be finite and > 0, got {self.pitch}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ParameterError(f"origin must be finite, got {self.origin}")
 
     def center(self) -> np.ndarray:
         """Coordinate of the lattice midpoint (between voxels for even n)."""
@@ -170,13 +178,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DockGrid:
-    """Voxel weights for one structure. ``voxels`` is float64, indexed
-    [x, y, z]: the whole (n, n, n) lattice, or, for a ligand grid that
-    assign_grid built in a box (lo, hi), the block of the lattice inside
-    the box, of shape hi - lo, with every voxel outside it zero."""
+    """Voxel weights for one structure, indexed [x, y, z]: ``block`` is the
+    grid from lattice index ``lo`` on, and every voxel outside it is zero.
+    ``voxels`` is the whole (n, n, n) grid in the block's dtype, built on
+    first read."""
 
     spec: GridSpec
-    voxels: np.ndarray
+    block: np.ndarray
+    lo: tuple[int, int, int] = (0, 0, 0)
+
+    @functools.cached_property
+    def voxels(self) -> np.ndarray:
+        voxels = np.zeros((self.spec.n,) * 3, dtype=self.block.dtype)
+        voxels[tuple(map(slice, self.lo, np.add(self.lo, self.block.shape)))] = self.block
+        return voxels
 
 
 def choose_grid_size(
@@ -221,13 +236,6 @@ def _extents(xyz: np.ndarray, spec: GridSpec, radius: float) -> tuple[np.ndarray
     return lo, hi
 
 
-def _core_box(xyz: np.ndarray, spec: GridSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The half-open lattice box [lo, hi) per axis that holds every voxel
-    _core_mask can set for atoms at ``xyz``: no voxel outside it is set."""
-    lo, hi = _extents(xyz, spec, radius)
-    return lo.min(axis=0), hi.max(axis=0) + 1
-
-
 @functools.lru_cache
 def _stencil(m: int, ny: int, nz: int) -> np.ndarray:
     """Flat offsets, in a C-order block of ny x nz rows, of the m^3 cube
@@ -239,14 +247,15 @@ def _stencil(m: int, ny: int, nz: int) -> np.ndarray:
     return stencil
 
 
-def _core_mask(s: Structure, spec: GridSpec, radius: float, box=None) -> np.ndarray:
-    """Boolean (n,n,n) mask of voxels whose center lies within ``radius`` of
-    any atom center, or with ``box`` = (lo, hi) its block inside that
-    half-open lattice box, of shape hi - lo. Raises GridOverflowError
-    (naming the serial of the first such atom in file order) when an atom's
-    inflated bounding cube maps outside the voxel lattice, and
-    ParameterError when ``box`` lies outside the lattice or does not hold
-    _core_box of the atoms.
+def _core_mask(s: Structure, spec: GridSpec, radius: float,
+               grow: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """``(mask, lo)``: the boolean mask of voxels whose center lies within
+    ``radius`` of any atom center, as its block from lattice index ``lo``.
+    The block is the smallest lattice box that holds every such voxel,
+    grown by ``grow`` voxels on each side and clipped to the lattice; no
+    voxel outside it is set. Raises GridOverflowError (naming the serial of
+    the first such atom in file order) when an atom's inflated bounding
+    cube maps outside the voxel lattice.
 
     All atoms are rasterized at once: each atom's voxel extent [lo, hi] per
     axis, then one stencil of m = max(hi - lo) + 1 offsets per axis from lo,
@@ -263,16 +272,12 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float, box=None) -> np.ndar
     if outside.size:
         raise GridOverflowError(s.atoms[outside[0]].serial,
                                 "inflated atom extends outside the grid")
-    b_lo, b_hi = (np.asarray(b) for b in (box if box is not None else ((0,) * 3, (n,) * 3)))
-    if ((b_lo < 0) | (b_lo > lo.min(axis=0, initial=n))
-            | (b_hi <= hi.max(axis=0, initial=-1)) | (b_hi > n)).any():
-        raise ParameterError(f"box {b_lo.tolist()}..{b_hi.tolist()} does not hold "
-                             f"the core of {s.id!r} inside the lattice")
-    shape = tuple(max(0, int(b - a)) for a, b in zip(b_lo, b_hi))
+    b_lo = np.maximum(lo.min(axis=0) - grow, 0)
+    shape = tuple((np.minimum(hi.max(axis=0) + 1 + grow, n) - b_lo).tolist())
     mask = np.zeros(math.prod(shape), dtype=bool)
-    m = int((hi - lo).max(initial=-1)) + 1
+    m = int((hi - lo).max()) + 1
     if m < 1:
-        return mask.reshape(shape)  # no sphere catches a voxel center
+        return mask.reshape(shape), tuple(b_lo.tolist())  # no sphere catches a center
     steps = np.arange(m)
     _, ny, nz = shape
     stencil = _stencil(m, ny, nz)
@@ -290,7 +295,7 @@ def _core_mask(s: Structure, spec: GridSpec, radius: float, box=None) -> np.ndar
         corner = c_lo - b_lo
         base = (corner[:, 0] * ny + corner[:, 1]) * nz + corner[:, 2]
         mask[base[atom] + stencil[cell]] = True
-    return mask.reshape(shape)
+    return mask.reshape(shape), tuple(b_lo.tolist())
 
 
 def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
@@ -313,7 +318,6 @@ def assign_grid(
     spec: GridSpec,
     role: str,
     params: ScoringParams | None = None,
-    box=None,
 ) -> DockGrid:
     """Rasterize a structure onto ``spec`` with role-dependent weights.
 
@@ -327,11 +331,9 @@ def assign_grid(
     structure by whole voxels rolls the grid (``np.roll``) only while the
     shifted atoms stay inside.
 
-    A ligand grid may be built in a box: with ``box`` = (lo, hi), a
-    half-open lattice box that holds _core_box of the atoms, ``voxels`` is
-    only the block of the grid inside it, of shape hi - lo; every voxel
-    outside the box is zero. A receptor grid always covers the lattice,
-    since its surface shell reaches past the core box.
+    The grid is built as its float64 block in the structure's voxel box:
+    the box of its core voxels, grown for a receptor by the surface shell
+    and clipped to the lattice. Every voxel outside the box is zero.
     """
     if role not in (RECEPTOR, LIGAND):
         raise ParameterError(f"role must be {RECEPTOR!r} or {LIGAND!r}, got {role!r}")
@@ -339,16 +341,11 @@ def assign_grid(
         params = ScoringParams()
     if not len(s):
         raise NoAtomsError(f"structure {s.id!r} has no atoms")
-    if box is not None and role != LIGAND:
-        raise ParameterError("only a ligand grid is built in a box")
 
-    core = _core_mask(s, spec, params.atom_radius, box)
-    voxels = np.zeros(core.shape)
-    if role == LIGAND:
-        voxels[core] = params.ligand_weight
-    else:
-        if params.surface_thickness > 0:
-            dilated = _dilate(core, params.surface_thickness)
-            voxels[dilated & ~core] = params.surface_weight
-        voxels[core] = params.receptor_core_weight
-    return DockGrid(spec=spec, voxels=voxels)
+    shell = params.surface_thickness if role == RECEPTOR else 0
+    core, lo = _core_mask(s, spec, params.atom_radius, shell)
+    block = np.zeros(core.shape)
+    if role == RECEPTOR:
+        block[_dilate(core, shell) & ~core] = params.surface_weight
+    block[core] = params.ligand_weight if role == LIGAND else params.receptor_core_weight
+    return DockGrid(spec, block, lo)

@@ -15,6 +15,7 @@ import pytest
 import crossdock
 from crossdock import cli, costmodel
 from crossdock.dispatch import BatchReport
+from crossdock.grid import ScoringParams
 
 from conftest import key_points, lock_points, make_structure, sample_result, write_pdb
 
@@ -86,6 +87,40 @@ def test_exit_2_on_a_bad_step_before_any_task_runs(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ('{"angualr_step": 30}', "angualr_step"),
+    (json.dumps({"params": {**ScoringParams().to_dict(), "atom_radus": 2.0}}), "atom_radus"),
+], ids=["config", "params"])
+def test_exit_2_on_an_unknown_config_key(tmp_path, capsys, config, key):
+    """A misspelt key fails the run and is named, rather than leaving its
+    field at the default."""
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config, encoding="utf-8")
+    lists = [str(tmp_path / "list.txt")] * 2
+    code = cli.main(["cross", *lists, "--config", str(cfg), "--dry-run"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
+def test_exit_2_on_a_startup_timeout_out_of_range(tmp_path, capsys, timeout):
+    """A NaN timeout would never expire and an infinite one overflows the
+    wait, so both, like one not above 0, fail before the master binds."""
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "list.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    lists = [str(tmp_path / "list.txt")] * 2
+    out = tmp_path / "out"
+    code = cli.main(["master", *lists, f"--startup-timeout={timeout}",
+                     "--listen", "127.0.0.1:0", "--out-dir", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "startup_timeout" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_v_sets_the_crossdock_logger_under_a_configured_root(capsys):
     """A host program's root handler must not swallow -v, and repeated runs
     must not stack stderr handlers."""
@@ -111,6 +146,23 @@ def test_exit_2_on_a_malformed_analyzer_table(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["analyze", "--runs", str(runs)]) == cli.EXIT_CONFIG
     assert f"{runs} line 2" in capsys.readouterr().err
+    for wall in ("nan", "inf"):
+        runs.write_text(f"instance\tn_instances\twall_time_s\tn_pairs\nH16\t1\t{wall}\t3481\n",
+                        encoding="utf-8")
+        assert cli.main(["analyze", "--runs", str(runs)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{runs} line 2" in err and "Traceback" not in err, wall
+    catalog = tmp_path / "catalog.tsv"
+    for column, value in (("dp_peak_gflops", "inf"), ("ram_gb", "nan"),
+                          ("price_usd_per_hour", "nan")):
+        cells = ["H16", "cpu", "16", "100.0", "0", "112", "no", "1.9"]
+        row = dict(zip(costmodel._CATALOG_COLUMNS, cells))
+        row[column] = value
+        catalog.write_text("\t".join(row) + "\n" + "\t".join(row.values()) + "\n",
+                           encoding="utf-8")
+        assert cli.main(["analyze", "--catalog", str(catalog)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{catalog} line 2" in err and column in err and "Traceback" not in err, column
     runs.write_bytes(b"\xff\xfe")
     for flag in ("--runs", "--catalog"):
         assert cli.main(["analyze", flag, str(runs)]) == cli.EXIT_CONFIG

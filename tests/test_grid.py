@@ -11,8 +11,6 @@ from crossdock.grid import (
     RECEPTOR,
     GridSpec,
     ScoringParams,
-    _core_box,
-    _core_mask,
     _dilate,
     assign_grid,
     choose_grid_size,
@@ -228,39 +226,46 @@ class TestRasterizationOracle:
 
     @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
     def test_box_grids_are_blocks_of_the_lattice_grid(self, pitch):
-        """A ligand grid built in its _core_box, or in a larger box, is the
-        block of the whole-lattice grid inside the box, and that grid is
-        zero outside it."""
+        """Each role's grid equals the whole-lattice oracles, its block is
+        the grid inside the block's box, and the grid is zero outside it.
+        Away from the faces, the receptor's box is the ligand's grown by
+        the surface shell on every side, and the shell is dilated inside
+        that box."""
         rng = np.random.default_rng([89, int(pitch * 10)])
         n = 20
         for trial in range(6):
             radius = float(rng.choice([0.2, 0.45, 1.0, 1.5, 2.3]))
-            params = ScoringParams(atom_radius=radius)
+            thickness = trial % 3
+            params = ScoringParams(atom_radius=radius, surface_thickness=thickness)
             spec = GridSpec(n=n, pitch=pitch, origin=(-1.0, 0.5, 2.0))
-            low = np.asarray(spec.origin) + radius
-            high = np.asarray(spec.origin) + (n - 1) * pitch - radius
+            # The grown box stays one voxel clear of every face.
+            clear = radius + (thickness + 1) * pitch
+            low = np.asarray(spec.origin) + clear
+            high = np.asarray(spec.origin) + (n - 1) * pitch - clear
             coords = rng.uniform(low, high, size=(int(rng.integers(1, 30)), 3))
             s = Structure(id="b", atoms=random_atoms(rng, coords))
-            whole = assign_grid(s, spec, LIGAND, params).voxels
-            lo, hi = _core_box(coords, spec, radius)  # hi < lo on an axis with no center
-            for box in ((lo, hi), (np.maximum(lo - 1, 0), np.minimum(hi + 2, n))):
-                inside = tuple(slice(a, b) for a, b in zip(*box))
-                got = assign_grid(s, spec, LIGAND, params, box).voxels
-                assert got.dtype == np.float64 and got.shape == whole[inside].shape
-                np.testing.assert_array_equal(got, whole[inside], err_msg=f"trial {trial}")
-                outside = whole.copy()
+            core = core_mask_loop_oracle(s, spec, radius)
+            surface = ndimage_dilation(core, thickness) & ~core
+            want = {
+                LIGAND: np.where(core, params.ligand_weight, 0.0),
+                RECEPTOR: np.where(core, params.receptor_core_weight,
+                                   np.where(surface, params.surface_weight, 0.0)),
+            }
+            grids = {role: assign_grid(s, spec, role, params) for role in want}
+            for role, grid in grids.items():
+                msg = f"trial {trial} {role}"
+                hi = np.add(grid.lo, grid.block.shape)
+                assert min(grid.lo) >= 1 and max(hi) <= n - 1, msg
+                inside = tuple(slice(a, b) for a, b in zip(grid.lo, hi))
+                assert grid.block.dtype == grid.voxels.dtype == np.float64, msg
+                np.testing.assert_array_equal(grid.voxels, want[role], err_msg=msg)
+                np.testing.assert_array_equal(grid.voxels[inside], grid.block, err_msg=msg)
+                outside = grid.voxels.copy()
                 outside[inside] = 0.0
-                assert not outside.any(), f"trial {trial}"
-
-    def test_a_box_must_hold_the_core_inside_the_lattice(self):
-        spec = GridSpec(n=12, pitch=1.0, origin=(0.0, 0.0, 0.0))
-        s = single_atom("one", 5.0, 5.0, 5.0)
-        lo, hi = _core_box(s.coords(), spec, ScoringParams().atom_radius)
-        for box in ((lo + 1, hi), (lo, hi - 1), (lo - 5, hi), (lo, hi + 6)):
-            with pytest.raises(ParameterError):
-                assign_grid(s, spec, LIGAND, None, box)
-        with pytest.raises(ParameterError):
-            assign_grid(s, spec, RECEPTOR, None, (lo, hi))
+                assert not outside.any(), msg
+            lig, rec = grids[LIGAND], grids[RECEPTOR]
+            assert rec.lo == tuple(np.subtract(lig.lo, thickness).tolist()), f"trial {trial}"
+            assert rec.block.shape == tuple(np.add(lig.block.shape, 2 * thickness).tolist())
 
     @pytest.mark.parametrize("pitch", [0.5, 1.0, 1.2, 2.0])
     def test_tangent_atoms_match_the_loop_oracle(self, pitch):
@@ -314,10 +319,6 @@ class TestRasterizationOracle:
         serials = [a.serial for a in s.atoms]
         with pytest.raises(GridOverflowError) as err:
             assign_grid(s, spec, LIGAND)
-        assert err.value.serial == serials[1]
-        box = _core_box(coords, spec, ScoringParams().atom_radius)
-        with pytest.raises(GridOverflowError) as err:
-            assign_grid(s, spec, LIGAND, None, box)
         assert err.value.serial == serials[1]
         with pytest.raises(GridOverflowError) as oracle_err:
             core_mask_loop_oracle(s, spec, ScoringParams().atom_radius)
@@ -546,7 +547,7 @@ def test_receptor_surface_equals_the_ndimage_oracle_with_atoms_on_the_faces(thic
     s = Structure("faces", tuple(AtomRecord(i + 1, "CA", "ALA", "A", i + 1, *map(float, c), "C")
                                  for i, c in enumerate(coords)))
     params = ScoringParams(surface_thickness=thickness)
-    core = _core_mask(s, spec, params.atom_radius)
+    core = core_mask_loop_oracle(s, spec, params.atom_radius)
     assert core[0].any() and core[:, n - 1].any() and core[:, :, 0].any() and core[n - 1].any()
     grid = assign_grid(s, spec, RECEPTOR, params)
     want = ndimage_dilation(core, thickness) & ~core

@@ -253,6 +253,17 @@ def test_a_result_payload_with_its_own_header_fields_decodes():
     pytest.param(with_result(ligand_id=["l1"]), id="result-ligand-id-list"),
     pytest.param(with_result(params={**ScoringParams().to_dict(), "surface_weight": math.nan}),
                  id="result-params-nan"),
+    pytest.param(with_task(config={**TASK.config.to_dict(), "angualr_step": 30}),
+                 id="assign-config-unknown-key"),
+    pytest.param(with_task(config={**TASK.config.to_dict(),
+                                   "params": {**ScoringParams().to_dict(), "atom_radus": 2.0}}),
+                 id="assign-params-unknown-key"),
+    pytest.param(with_result(params={**ScoringParams().to_dict(), "atom_radus": 2.0}),
+                 id="result-params-unknown-key"),
+    *(pytest.param(with_result(grid={**GRID, "pitch": pitch}), id=f"grid-pitch-{pitch}")
+      for pitch in (math.nan, math.inf)),
+    *(pytest.param(with_result(grid={**GRID, "origin": [0.5, value, 2.25]}),
+                   id=f"grid-origin-{value}") for value in (math.nan, math.inf, -math.inf)),
 ])
 def test_known_bad_payloads_raise_wire_error(payload):
     """Each payload at this version fails for its own fault, not its version."""
