@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 from ..docking import TSV_HEADER, DockingResult, splice_json
 from ..errors import DispatchError
 from . import wire
-from .tasks import DockingTask, execute_task
-from .worker import run_lane
+from .tasks import DockingTask
+from .worker import fork_lane_processes, run_lane
 
 __all__ = [
     "DispatchPolicy",
@@ -441,18 +441,24 @@ def local_pool_run(
     tasks: Sequence[DockingTask],
     workers: int,
     policy: DispatchPolicy | None = None,
-    executor: Callable[[DockingTask], DockingResult] = execute_task,
+    executor: Callable[[DockingTask], DockingResult] | None = None,
     transition_hook=None,
 ) -> BatchReport:
     """master_run plus ``workers`` single-slot lanes (run_lane, as in
-    worker_loop) over in-memory connections, all inside this process; the
-    lanes share the cores (docking.thread_budget). Each lane applies its
-    own messages to the batch state, and this thread waits for the batch
-    to end. ``transition_hook`` is called as in master_run, in the lane
-    that caused the transition.
+    worker_loop) over in-memory connections. Each lane applies its own
+    messages to the batch state, and this thread waits for the batch to
+    end. ``transition_hook`` is called as in master_run, in the lane that
+    caused the transition.
+
+    Without an ``executor``, each lane docks in its own LaneProcess, forked
+    here before any lane starts; an explicit one runs in the lane threads.
+    Either way a threads=0 task docks on its lane's share of the cores
+    (docking.thread_budget). Every lane process is joined before this
+    returns or raises; when the batch ends in an error, it is killed first.
 
     As in master_run, an empty task list is a DispatchError. A task whose
-    executor raises costs only itself one attempt; its lane keeps serving.
+    executor raises, or whose lane process dies, costs only itself one
+    attempt; its lane keeps serving.
     """
     if workers < 1:
         raise DispatchError(f"workers must be >= 1, got {workers}")
@@ -463,9 +469,11 @@ def local_pool_run(
         # Registered here, not by its first REQUEST: a lane is in per_worker
         # even when the others drain the batch before it starts.
         core._register(conn, f"local-{i}")
+    children = fork_lane_processes(workers) if executor is None else []
+    executors = children or [executor] * workers
     lanes = [
         threading.Thread(target=run_lane, daemon=True,
-                         args=(conn.post, conn.inbox.get, executor, f"local-{i}", workers))
+                         args=(conn.post, conn.inbox.get, executors[i], f"local-{i}", workers))
         for i, conn in enumerate(conns)
     ]
     for lane in lanes:
@@ -475,7 +483,11 @@ def local_pool_run(
     except BaseException:  # raised before run() broadcast its SHUTDOWN
         for conn in conns:
             conn.send(wire.Shutdown())
+        for child in children:
+            child.stop()  # its task's result would be discarded
         raise
     finally:
         for lane in lanes:
             lane.join(timeout=10)
+        for child in children:
+            child.close()

@@ -77,7 +77,8 @@ def cross_tasks(
 
 
 def execute_task(task: DockingTask) -> DockingResult:
-    """Load both structures and dock them; the default worker executor."""
+    """Load both structures and dock them: what a lane's docking process
+    runs for each task."""
     receptor = load_structure(task.receptor_path)
     ligand = load_structure(task.ligand_path)
     return dock_pair(receptor, ligand, task.config)

@@ -304,15 +304,20 @@ class DockConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DockConfig":
-        """Fields missing from ``d`` keep their defaults. ``d`` that is not
-        a mapping, a key that names no field (in ``d`` or in its "params"),
-        or a value that does not convert exactly (a bool, or a fraction
-        where an int is due), is a ParameterError naming the key."""
+        """Fields missing from ``d``, or from its "params", keep their
+        defaults. ``d`` that is not a mapping, a key that names no field (in
+        ``d`` or in its "params"), or a value that does not convert exactly
+        (a bool, or a fraction where an int is due), is a ParameterError
+        naming the key."""
         if not isinstance(d, dict):
             raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
+
+        def params(value) -> ScoringParams:
+            return ScoringParams.from_dict({**ScoringParams().to_dict(), **value})
+
         convert = {"pitch": float_field, "margin_voxels": int_field,
                    "angular_step": float_field, "top_k": int_field,
-                   "params": ScoringParams.from_dict, "threads": int_field}
+                   "params": params, "threads": int_field}
         fields = {}
         for key, value in d.items():
             if key not in convert:
@@ -366,6 +371,10 @@ class PoseColumns(Sequence):
             raise ValueError(f"pose columns of shapes {indices.shape} and {scores.shape}")
         indices.flags.writeable = scores.flags.writeable = False
         self.indices, self.scores = indices, scores
+
+    def __reduce__(self):
+        # Through the constructor, so that the unpickled columns are read-only.
+        return type(self), (self.indices, self.scores)
 
     @classmethod
     def of(cls, poses) -> "PoseColumns":

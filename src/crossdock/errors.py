@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each survives pickling, as an
+exception raised in a lane's docking process must."""
 
 
 class CrossdockError(Exception):
@@ -13,7 +14,10 @@ class PdbParseError(CrossdockError):
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        self.line_number, self.message = line_number, message
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.message)
 
 
 class NoAtomsError(CrossdockError):
@@ -29,7 +33,10 @@ class GridOverflowError(CrossdockError):
     def __init__(self, serial: int, message: str = ""):
         detail = message or "atom does not fit inside the grid"
         super().__init__(f"atom serial {serial}: {detail}")
-        self.serial = serial
+        self.serial, self.message = serial, message
+
+    def __reduce__(self):
+        return type(self), (self.serial, self.message)
 
 
 class ParameterError(CrossdockError, ValueError):

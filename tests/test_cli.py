@@ -105,6 +105,22 @@ def test_exit_2_on_an_unknown_config_key(tmp_path, capsys, config, key):
     assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
 
 
+def test_a_config_file_may_set_some_params_and_leave_the_rest(tmp_path, capsys):
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    key = write_pdb(tmp_path, make_structure("key", key_points()))
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text(f"{key}\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"params": {"surface_thickness": 2}}', encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["cross", str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+                     "--config", str(cfg), "--step", "90", "--top-k", "3", "--workers", "1",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    [result] = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+    assert result["params"] == {**ScoringParams().to_dict(), "surface_thickness": 2}
+
+
 @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
 def test_exit_2_on_a_startup_timeout_out_of_range(tmp_path, capsys, timeout):
     """A NaN timeout would never expire and an infinite one overflows the
@@ -303,3 +319,44 @@ def test_failed_attempts_log_one_line_each_and_a_traceback_only_with_v(tmp_path)
     verbose = run_cross_in_subprocess(tmp_path, "-v")
     assert verbose.returncode == cli.EXIT_FAILED_TASKS, verbose.stderr
     assert verbose.stderr.count("Traceback") == 3
+
+
+# Runs the CLI with os.fork wrapped, so that the parent reports how many
+# Python threads were running at each fork.
+FORK_SPY = """
+import os, sys, threading
+from crossdock import cli
+
+fork, forks = os.fork, []
+
+def counted_fork():
+    forks.append(threading.active_count())
+    return fork()
+
+os.fork = counted_fork
+code = cli.main(sys.argv[1:])
+print("threads at each fork:", forks)
+sys.exit(code)
+"""
+
+
+def test_cross_forks_its_lane_processes_before_any_thread_starts(tmp_path):
+    """Python 3.12 warns when a multi-threaded process forks; as an error,
+    the warning would fail the run. OpenBLAS's idle pool threads, which
+    NumPy starts at import, would count too, and its own fork handler makes
+    them safe, so the pool is kept to the calling thread here."""
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    key = write_pdb(tmp_path, make_structure("key", key_points()))
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n{key}\n", encoding="utf-8")
+    (tmp_path / "ligands.txt").write_text(f"{key}\n", encoding="utf-8")
+    src = str(Path(crossdock.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", FORK_SPY, "cross",
+         str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"), "--step", "90",
+         "--top-k", "3", "--workers", "2", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == cli.EXIT_OK and run.stderr == "", run.stderr
+    assert run.stdout.splitlines()[-1] == "threads at each fork: [1, 1]"

@@ -1,14 +1,16 @@
 """Dispatch: per-task failures over TCP and in-process, malformed frames on
 either side of a connection, peers of another protocol version, the
 messages each task costs, BatchState bookkeeping under random event
-sequences, the lanes' shared thread budget, the report's JSON, and no
-thread left running once a test ends."""
+sequences, the lanes' shared thread budget, the report's JSON, the lanes'
+docking processes, and no thread left running once a test ends."""
 
 import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import re
 import socket
 import sys
 import threading
@@ -31,18 +33,21 @@ from crossdock.dispatch import (
     BatchState,
     DispatchPolicy,
     DockingTask,
+    cross_tasks,
+    execute_task,
     local_pool_run,
     master_run,
     wire,
     worker_loop,
 )
 from crossdock.dispatch import master as dispatch_master
+from crossdock.dispatch import tasks as dispatch_tasks
 from crossdock.dispatch import worker as dispatch_worker
 from crossdock.dispatch.worker import run_lane
 from crossdock.docking import DockConfig, Pose
 from crossdock.errors import DispatchError, NoAtomsError
 
-from conftest import report_dict, sample_result
+from conftest import key_points, lock_points, make_structure, report_dict, sample_result, write_pdb
 
 STARTUP = 10.0  # master startup_timeout; every wait below is bounded by it
 BAD = "r1__bad"
@@ -840,3 +845,148 @@ def test_report_json_is_the_json_of_its_dict():
                         wall_time=0.0)
     for r in (report, empty):
         assert r.to_json() == json.dumps(report_dict(r), sort_keys=True)
+
+
+# --- lane processes ----------------------------------------------------------
+# Without an executor, each lane docks in a forked child process. A child
+# runs tasks.execute_task, so the tests below that patch it do so before the
+# batch forks its children.
+
+
+def docking_tasks(tmp_path) -> list[DockingTask]:
+    lock = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    key = write_pdb(tmp_path, make_structure("key", key_points()))
+    return cross_tasks([lock, key], [key, lock], DockConfig(angular_step=90.0, top_k=20))
+
+
+def run_batch(transport: str, tasks, lanes: int, policy: DispatchPolicy, hook=None):
+    """The report of a batch on ``lanes`` lanes with lane processes."""
+    if transport == "local":
+        return local_pool_run(tasks, lanes, policy, None, hook)
+    port = free_port()
+    master, m = in_thread(master_run, tasks, ("127.0.0.1", port), policy, hook)
+    worker_loop(("127.0.0.1", port), slots=lanes, backoff_initial=0.01, backoff_cap=0.05,
+                max_retries=500)
+    join(master)
+    assert "error" not in m, m
+    return m["value"]
+
+
+def fake_docking(monkeypatch, execute) -> None:
+    monkeypatch.setattr(dispatch_tasks, "execute_task", execute)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_lane_processes_give_the_in_process_results(tmp_path, transport, lanes):
+    tasks = docking_tasks(tmp_path)
+    expected = {t.task_id: dataclasses.replace(execute_task(t), wall_time=0.0) for t in tasks}
+    policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
+    report = run_batch(transport, tasks, lanes, policy)
+    assert report.failed == {}
+    got = {tid: dataclasses.replace(r, wall_time=0.0) for tid, r in report.completed.items()}
+    assert got == expected
+    for result in report.completed.values():
+        assert not result.top_poses.indices.flags.writeable
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_a_raising_task_in_a_lane_process_fails_as_in_process(monkeypatch, transport):
+    """The failure reason from a child is the in-process one, byte for byte."""
+    def execute(task):
+        if task.task_id == BAD:
+            raise NoAtomsError("bad.pdb: structure has no atoms")
+        return sample_result(task.task_id)
+
+    fake_docking(monkeypatch, execute)
+    policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
+    report = run_batch(transport, make_tasks([BAD, *sorted(VALID)]), 2, policy)
+    assert report.completed == {tid: sample_result(tid) for tid in VALID}
+    assert report.failed == {BAD: 2}
+    assert report.errors == {BAD: "NoAtomsError: bad.pdb: structure has no atoms"}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_a_lane_process_that_dies_costs_its_task_one_attempt(tmp_path, monkeypatch, transport):
+    """The task whose child exits mid-task is charged once and retried in a
+    replacement child, and the batch completes."""
+    marker = tmp_path / "died"
+
+    def execute(task):
+        if task.task_id == "r1__l3" and not marker.exists():
+            marker.touch()
+            os._exit(7)
+        return sample_result(task.task_id)
+
+    fake_docking(monkeypatch, execute)
+    states = []
+
+    def hook(state: BatchState) -> None:
+        states.append((dict(state.failed_attempts), dict(state.last_error)))
+
+    ids = [f"r1__l{i}" for i in range(6)]
+    policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
+    report = run_batch(transport, make_tasks(ids), 2, policy, hook)
+    assert report.completed == {tid: sample_result(tid) for tid in ids}
+    attempts, errors = states[-1]
+    assert attempts == {"r1__l3": 1}
+    assert re.fullmatch(r"DispatchError: docking process \d+ exited with code 7",
+                        errors["r1__l3"]), errors
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_transition_hook_kills_and_joins_every_lane_process(monkeypatch):
+    """Children busy with a long task are killed, not waited for."""
+    def execute(task):
+        if task.task_id != "r1__l0":
+            time.sleep(10 * STARTUP)
+        return sample_result(task.task_id)
+
+    fake_docking(monkeypatch, execute)
+    policy = DispatchPolicy(startup_timeout=STARTUP)
+    ids = [f"r1__l{i}" for i in range(4)]
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^hook call 5$"):
+        # calls: start, two assignments, r1__l0's result, its lane's next task
+        local_pool_run(make_tasks(ids), 2, policy, None, RaisesOnCall(5))
+    assert time.monotonic() - t0 < STARTUP
+    assert multiprocessing.active_children() == []
+
+
+def test_a_normal_batch_leaves_no_lane_process(monkeypatch):
+    fake_docking(monkeypatch, lambda task: sample_result(task.task_id))
+    ids = [f"r1__l{i}" for i in range(10)]
+    report = local_pool_run(make_tasks(ids), 3, DispatchPolicy(startup_timeout=STARTUP))
+    assert set(report.completed) == set(ids)
+    assert multiprocessing.active_children() == []
+
+
+def test_many_lane_processes_die_and_are_replaced_at_once(tmp_path, monkeypatch):
+    """More lanes than cores fork replacements while the others run: every
+    task's first attempt ends its child, and each still costs only one
+    attempt, with no child left behind and no pipe kept open by a
+    sibling."""
+    def execute(task):
+        marker = tmp_path / task.task_id
+        if not marker.exists():
+            marker.touch()
+            os._exit(3)
+        return sample_result(task.task_id)
+
+    fake_docking(monkeypatch, execute)
+    ids = [f"r1__l{i}" for i in range(16)]
+    states = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    t0 = time.monotonic()
+    try:
+        report = local_pool_run(make_tasks(ids), 4, DispatchPolicy(max_attempts=2,
+                                startup_timeout=STARTUP), None, states.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - t0 < STARTUP
+    assert report.completed == {tid: sample_result(tid) for tid in ids}
+    assert states[-1].failed_attempts == {tid: 1 for tid in ids}
+    assert multiprocessing.active_children() == []

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -240,6 +241,17 @@ def test_pose_columns_are_the_sequence_of_their_poses(k):
     assert exact(reversed(columns)) == exact(reversed(oracle))
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_pose_columns_stay_read_only_through_pickling(k):
+    """A result that comes back from a lane's docking process keeps
+    read-only columns."""
+    columns = PoseColumns.of(oracle_poses(k))
+    back = pickle.loads(pickle.dumps(columns))
+    assert type(back) is PoseColumns and back == columns
+    assert back.indices.dtype == np.dtype("<i4") and back.scores.dtype == np.dtype("<f8")
+    assert not back.indices.flags.writeable and not back.scores.flags.writeable
+
+
 def test_results_from_a_tuple_a_list_and_columns_are_equal_and_hash_alike():
     oracle = oracle_poses(7)
 
@@ -303,6 +315,14 @@ def test_config_rejects_numbers_given_as_strings(bad):
 def test_config_is_checked_on_construction(make):
     with pytest.raises(ParameterError):
         make()
+
+
+def test_config_params_missing_from_a_dict_keep_their_defaults():
+    cfg = DockConfig.from_dict({"params": {"surface_thickness": 2}})
+    assert cfg.params == dataclasses.replace(ScoringParams(), surface_thickness=2)
+    assert DockConfig.from_dict({"params": {}}) == DockConfig()
+    with pytest.raises(ParameterError, match="config field 'params'"):
+        DockConfig.from_dict({"params": [1, 2]})
 
 
 def test_config_reads_integral_numbers_as_ints():
