@@ -250,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross", help="all-to-all docking on worker lanes of this host")
     add_batch_flags(p)
     p.add_argument("--workers", type=int, default=max(os.cpu_count() or 1, 1),
-                   help="worker lanes, each docking in its own forked process "
-                        "(default: logical cores); with the default --threads they "
-                        "share the cores")
+                   help="worker lanes, each a forked process with its own connection "
+                        "to this command's master (default: logical cores); with the "
+                        "default --threads they share the cores")
     p.set_defaults(func=cmd_cross)
 
     p = sub.add_parser("master", help="serve an all-to-all batch to TCP workers")
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worker", help="run docking tasks for a master")
     p.add_argument("--connect", help=f"master host:port (or ${ENV_CONNECT})")
     p.add_argument("--slots", type=int, default=4,
-                   help="concurrent task lanes in this worker (default 4), each "
-                        "docking in its own forked process on the logical cores "
-                        "divided by the slots, at least 1")
+                   help="concurrent task lanes in this worker (default 4), each a "
+                        "forked process that opens its own connection to the master "
+                        "and docks on the logical cores divided by the slots, at least 1")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("analyze", help="scaling/throughput/fee report from run records")

@@ -1,5 +1,6 @@
 """Master-side task dispatch: FIFO queue, failure requeue, exactly-once
-results.
+results, for TCP workers (master_run) or this host's lanes (local_pool_run:
+lane processes over a local socket, or lane threads in memory).
 
 The batch state has one lock. The thread that receives a message (a TCP
 connection's reader, or an in-process lane posting it) applies it under
@@ -28,10 +29,14 @@ by the SHUTDOWN broadcast.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import queue
+import signal
 import socket
+import tempfile
 import threading
 import time
 from collections import deque
@@ -42,7 +47,7 @@ from ..docking import TSV_HEADER, DockingResult, splice_json
 from ..errors import DispatchError
 from . import wire
 from .tasks import DockingTask
-from .worker import fork_lane_processes, run_lane
+from .worker import fork_process, run_lane, supervise_lanes
 
 __all__ = [
     "DispatchPolicy",
@@ -367,31 +372,9 @@ def _reader(conn: wire.Channel, core: _MasterCore) -> None:
         core.handle(conn, None)
 
 
-def master_run(
-    tasks: Sequence[DockingTask],
-    listen: tuple[str, int],
-    policy: DispatchPolicy | None = None,
-    transition_hook=None,
-) -> BatchReport:
-    """Serve a batch to TCP workers; returns when every task is terminal,
-    once every connection is shut down and its reader has ended. Each
-    connection's reader thread applies its messages to the batch state.
-
-    ``transition_hook(state)`` is called once at the start and after every
-    state transition, in the thread that caused it and under the master's
-    lock, so calls never overlap; it must not block or call back into the
-    dispatch. An exception it raises ends the batch and is raised here, as
-    is a DispatchError from the bookkeeping. Raises DispatchError when the
-    task list is empty, when the endpoint cannot be bound or when no worker
-    connects within ``policy.startup_timeout``.
-    """
-    policy = policy or DispatchPolicy()
-    core = _MasterCore(tasks, policy, transition_hook)
-    try:
-        server = socket.create_server(listen)
-    except OSError as exc:
-        raise DispatchError(f"cannot bind {listen[0]}:{listen[1]}: {exc}") from exc
-
+def _serve(core: _MasterCore, server: socket.socket) -> BatchReport:
+    """Run the batch over the connections that ``server`` accepts, one
+    reader thread each, until every one is shut down; closes ``server``."""
     readers: list[tuple[wire.Channel, threading.Thread]] = []
 
     def acceptor() -> None:
@@ -400,7 +383,8 @@ def master_run(
                 sock, addr = server.accept()
             except OSError:  # the server socket was shut down
                 break
-            conn = wire.Channel(sock, f"{addr[0]}:{addr[1]}")
+            # A local socket's peer has no address.
+            conn = wire.Channel(sock, f"{addr[0]}:{addr[1]}" if addr else "a local lane")
             reader = threading.Thread(target=_reader, args=(conn, core), daemon=True)
             readers.append((conn, reader))
             reader.start()
@@ -408,7 +392,7 @@ def master_run(
     accept_thread = threading.Thread(target=acceptor, daemon=True)
     accept_thread.start()
     try:
-        report = core.run()
+        return core.run()
     finally:
         # shutdown wakes the blocked accept at once; close alone may not
         server.shutdown(socket.SHUT_RDWR)
@@ -418,7 +402,33 @@ def master_run(
             conn.shutdown()  # wakes the reader if blocked in recv; close does not
             reader.join(timeout=5)
             conn.close()
-    return report
+
+
+def master_run(
+    tasks: Sequence[DockingTask],
+    listen: tuple[str, int],
+    policy: DispatchPolicy | None = None,
+    transition_hook=None,
+) -> BatchReport:
+    """Serve a batch to TCP workers; returns when every task is terminal,
+    once every connection is shut down and its reader has ended. Each
+    connection's reader thread applies its messages to the batch state;
+    connections that name one worker id count as one worker.
+
+    ``transition_hook(state)`` is called once at the start and after every
+    state transition, in the thread that caused it and under the master's
+    lock, so calls never overlap; it must not block or call back into the
+    dispatch. An exception it raises ends the batch and is raised here, as
+    is a DispatchError from the bookkeeping. Raises DispatchError when the
+    task list is empty, when the endpoint cannot be bound or when no worker
+    connects within ``policy.startup_timeout``.
+    """
+    core = _MasterCore(tasks, policy or DispatchPolicy(), transition_hook)
+    try:
+        server = socket.create_server(listen)
+    except OSError as exc:
+        raise DispatchError(f"cannot bind {listen[0]}:{listen[1]}: {exc}") from exc
+    return _serve(core, server)
 
 
 class _LocalConn:
@@ -437,6 +447,12 @@ class _LocalConn:
         return True
 
 
+def _lane_supervisor(server: socket.socket, address: str, worker_ids: list[str]) -> None:
+    os.setpgid(0, 0)  # Ctrl-C at a terminal reaches the master alone
+    server.close()
+    supervise_lanes(address, worker_ids, (0.0, 0.0, 0))  # the master is listening
+
+
 def local_pool_run(
     tasks: Sequence[DockingTask],
     workers: int,
@@ -444,37 +460,36 @@ def local_pool_run(
     executor: Callable[[DockingTask], DockingResult] | None = None,
     transition_hook=None,
 ) -> BatchReport:
-    """master_run plus ``workers`` single-slot lanes (run_lane, as in
-    worker_loop) over in-memory connections. Each lane applies its own
-    messages to the batch state, and this thread waits for the batch to
-    end. ``transition_hook`` is called as in master_run, in the lane that
-    caused the transition.
+    """master_run for ``workers`` single-slot lanes on this host, local-0 to
+    local-{workers - 1}; ``transition_hook`` is called as in master_run.
 
-    Without an ``executor``, each lane docks in its own LaneProcess, forked
-    here before any lane starts; an explicit one runs in the lane threads.
-    Either way a threads=0 task docks on its lane's share of the cores
-    (docking.thread_budget). Every lane process is joined before this
-    returns or raises; when the batch ends in an error, it is killed first.
-
-    As in master_run, an empty task list is a DispatchError. A task whose
-    executor raises, or whose lane process dies, costs only itself one
-    attempt; its lane keeps serving.
+    Without an ``executor``, this forks, before the master starts any
+    thread, a supervisor (worker.supervise_lanes) in its own process group
+    whose lane processes connect over a local socket in a private
+    directory. It is reaped before this returns; on an error (a raising
+    hook, Ctrl-C) its group is killed first. With an ``executor``, the
+    lanes are threads of this process over in-memory connections. A
+    threads=0 task docks on its lane's share of the cores. As in
+    master_run, an empty task list is a DispatchError; a task whose
+    executor raises, or whose lane dies ("worker lost"), costs only itself
+    one attempt.
     """
     if workers < 1:
         raise DispatchError(f"workers must be >= 1, got {workers}")
     policy = policy or DispatchPolicy()
     core = _MasterCore(tasks, policy, transition_hook)
+    worker_ids = [f"local-{i}" for i in range(workers)]
+    if executor is None:
+        return _forked_pool_run(core, worker_ids)
     conns = [_LocalConn(core) for _ in range(workers)]
-    for i, conn in enumerate(conns):
+    for conn, worker_id in zip(conns, worker_ids):
         # Registered here, not by its first REQUEST: a lane is in per_worker
         # even when the others drain the batch before it starts.
-        core._register(conn, f"local-{i}")
-    children = fork_lane_processes(workers) if executor is None else []
-    executors = children or [executor] * workers
+        core._register(conn, worker_id)
     lanes = [
         threading.Thread(target=run_lane, daemon=True,
-                         args=(conn.post, conn.inbox.get, executors[i], f"local-{i}", workers))
-        for i, conn in enumerate(conns)
+                         args=(conn.post, conn.inbox.get, executor, worker_id, workers))
+        for conn, worker_id in zip(conns, worker_ids)
     ]
     for lane in lanes:
         lane.start()
@@ -483,11 +498,28 @@ def local_pool_run(
     except BaseException:  # raised before run() broadcast its SHUTDOWN
         for conn in conns:
             conn.send(wire.Shutdown())
-        for child in children:
-            child.stop()  # its task's result would be discarded
         raise
     finally:
         for lane in lanes:
             lane.join(timeout=10)
-        for child in children:
-            child.close()
+
+
+def _forked_pool_run(core: _MasterCore, worker_ids: list[str]) -> BatchReport:
+    # Seeded here, as a lane may connect after the others drain the batch.
+    core.per_worker.update(dict.fromkeys(worker_ids, 0))
+    with tempfile.TemporaryDirectory(prefix="crossdock-") as workdir, \
+            socket.socket(socket.AF_UNIX) as server:
+        address = os.path.join(workdir, "master")
+        server.bind(address)
+        server.listen()
+        supervisor = fork_process(_lane_supervisor, server, address, worker_ids)
+        with contextlib.suppress(OSError):  # the group is set before any kill
+            os.setpgid(supervisor, supervisor)
+        try:
+            return _serve(core, server)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.killpg(supervisor, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(supervisor, 0)

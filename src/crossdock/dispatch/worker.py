@@ -1,37 +1,39 @@
 """Worker side of dispatch: the lane loop, the TCP worker that runs it, and
-the lanes' docking processes.
+the supervisor of forked lanes.
 
 A lane (run_lane) sends one REQUEST when it starts, then loops ASSIGN ->
 execute -> RESULT, or TASK_FAILED when the executor raises, and keeps
-serving either way: each reply is also its request for the next task.
-worker_loop runs ``slots`` lanes over one wire.Channel; the lanes' first
-REQUESTs register the worker with the master. There is no reader thread:
-the lanes take turns on Channel.receive, and any lane may take any ASSIGN,
-since they are interchangeable. A lane stops on SHUTDOWN, EOF, a malformed
-frame or a failed send, and the first lane to stop shuts the connection
-down, which stops the others.
-local_pool_run runs the same lanes over in-memory connections.
+serving either way: each reply is also its request for the next task. It
+stops on SHUTDOWN, EOF, a malformed frame or a failed send.
 
-Called without an executor, worker_loop and local_pool_run give each lane
-its own docking process (LaneProcess), forked before any lane thread
-starts, so the lanes dock in parallel instead of taking turns on one GIL.
-A lane thread hands its process one task at a time down a pipe and gets
-back the DockingResult, or the exception the task raised, with the
-process's stack as its cause. A process that dies costs its task one
-attempt, and the lane forks a replacement for its next task. An explicit
-executor runs in the lane thread itself. Either way a threads=0 task docks
-on the logical cores divided by the lane count (docking.thread_budget).
+Without an executor, worker_loop is a supervisor (supervise_lanes) that
+forks ``slots`` lane processes. Each opens its own connection to the
+master and runs run_lane on it with tasks.execute_task, under the
+worker's id, so the lanes dock in parallel and count as one worker. A
+lane that exits abnormally has closed its connection, which costs its
+task one attempt as for any lost worker, and is replaced. The supervisor
+starts no thread, so every fork runs in a single-threaded process.
+local_pool_run forks the same supervisor onto a local socket.
+
+With an executor, ``slots`` lane threads share one wire.Channel and call
+it in this process. They take turns on Channel.receive, and any lane may
+take any ASSIGN; the first lane to stop shuts the connection down, which
+stops the others. local_pool_run runs such threads over in-memory
+connections. Either way a threads=0 task docks on the logical cores
+divided by the lane count (docking.thread_budget).
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
+import signal
 import socket
 import threading
 import time
 import traceback
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..docking import DockingResult, thread_budget
 from ..errors import DispatchError
@@ -43,156 +45,120 @@ __all__ = ["run_lane", "worker_loop"]
 log = logging.getLogger(__name__)
 
 
+def _connect(address) -> socket.socket:
+    if isinstance(address, tuple):
+        return socket.create_connection(address)
+    sock = socket.socket(socket.AF_UNIX)
+    try:
+        sock.connect(address)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
 def _connect_with_backoff(
-    connect: tuple[str, int],
+    address,
     backoff_initial: float,
     backoff_cap: float,
     max_retries: int,
-) -> socket.socket:
+) -> wire.Channel:
+    """A channel to the master at ``address``, (host, port) over TCP or the
+    path of a local socket, connected under the backoff budget."""
+    peer = address if isinstance(address, str) else f"{address[0]}:{address[1]}"
     delay = backoff_initial
     for attempt in range(max_retries + 1):
         try:
-            return socket.create_connection(connect)
+            return wire.Channel(_connect(address), peer)
         except OSError as exc:
             if attempt == max_retries:
                 raise DispatchError(
-                    f"cannot reach master at {connect[0]}:{connect[1]} "
-                    f"after {max_retries + 1} attempts: {exc}"
+                    f"cannot reach master at {peer} after {max_retries + 1} attempts: {exc}"
                 ) from exc
-            log.info("connect to %s:%s failed (%s); retrying in %.1f s",
-                     connect[0], connect[1], exc, delay)
+            log.info("connect to %s failed (%s); retrying in %.1f s", peer, exc, delay)
             time.sleep(delay)
             delay = min(delay * 2, backoff_cap)
     raise AssertionError("unreachable")
 
 
-# A forked child inherits every file descriptor of this process, so it must
-# close the parent's end of each lane's pipe: a pipe ends only once every
-# copy of its parent end is closed. The lock is held while a lane process is
-# forked and while a parent end is opened or closed, so that each child
-# knows every parent end it holds.
-_fork_lock = threading.Lock()
-_parent_ends: set = set()  # this process's ends of its lane processes' pipes
-
-
-class _ChildStack(Exception):
-    """The stack of an exception raised in a lane process, as the text of
-    its frames: the cause of the exception that the lane re-raises."""
-
-
-def _stack(exc: BaseException) -> str:
-    frames = "".join(traceback.format_tb(exc.__traceback__))
-    return f"in docking process {os.getpid()}:\n{frames.rstrip()}"
-
-
-def _child_main(conn, inherited, lanes: int) -> None:
-    """A lane process: dock each task that arrives on ``conn`` under the
-    lanes' thread budget and send back (result, None), or (exception, its
-    stack); return at the end of the pipe. ``inherited`` holds the
-    parent's ends of every lane's pipe, which are closed first, so that a
-    pipe ends as soon as the parent is gone."""
-    import signal
-
-    for end in inherited:
-        end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    with thread_budget(lanes):
-        while True:
-            try:
-                task = conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = tasks.execute_task(task), None
-            except Exception as exc:
-                reply = exc, _stack(exc)
-            try:
-                conn.send(reply)
-            except OSError:  # the parent is gone
-                return
-            except Exception as exc:  # the reply does not pickle: send why not
-                conn.send((exc, _stack(exc)))
-
-
-class LaneProcess:
-    """The executor of one lane: a child process, forked from this one,
-    that runs tasks.execute_task on each task it is handed. A task whose
-    process dies raises DispatchError, and the next call forks a
-    replacement. ``lanes`` is the lane count of the run, whose thread
-    budget the process docks under."""
-
-    def __init__(self, lanes: int):
-        self.lanes = lanes
-        self._conn = self._process = None
-        self._stopped = False
-        self._fork()
-
-    def _fork(self) -> None:
-        import multiprocessing  # here: it takes milliseconds, and only lane processes need it
-
-        context = multiprocessing.get_context("fork")
-        with _fork_lock:
-            if self._stopped:
-                raise DispatchError("the lane is stopping")
-            conn, child_end = context.Pipe()
-            process = context.Process(target=_child_main, daemon=True,
-                                      args=(child_end, (*_parent_ends, conn), self.lanes))
-            try:
-                process.start()
-            except BaseException:
-                conn.close()
-                raise
-            finally:
-                child_end.close()
-            _parent_ends.add(conn)
-            self._conn, self._process = conn, process
-
-    def __call__(self, task: DockingTask) -> DockingResult:
-        if self._process is None:
-            self._fork()
-        process = self._process
-        try:
-            self._conn.send(task)
-            value, stack = self._conn.recv()
-        except (EOFError, OSError):
-            self.close()
-            raise DispatchError(
-                f"docking process {process.pid} exited with code {process.exitcode}") from None
-        if stack is None:
-            return value
-        raise value from _ChildStack(stack)
-
-    def stop(self) -> None:
-        """Kill the process at once, and fork no other."""
-        with _fork_lock:
-            self._stopped = True
-            if self._process is not None:
-                self._process.kill()
-
-    def close(self) -> None:
-        """Close the pipe, which ends the process once its task is done,
-        and join the process."""
-        with _fork_lock:
-            conn, process = self._conn, self._process
-            self._conn = self._process = None
-            _parent_ends.discard(conn)
-        if process is not None:
-            conn.close()
-            process.join()
-
-
-def fork_lane_processes(lanes: int) -> list[LaneProcess]:
-    """One LaneProcess per lane, forked in this thread; if a fork fails,
-    the processes already forked are closed."""
-    children: list[LaneProcess] = []
+def fork_process(main: Callable[..., object], *args) -> int:
+    """Run main(*args) in a forked child and return its pid. The child
+    never returns to the caller's stack: it exits 0 when main returns, and
+    1, with the traceback on stderr, when main raises. Raises
+    DispatchError on a platform without fork."""
+    if not hasattr(os, "fork"):
+        raise DispatchError("lane processes need os.fork, which this platform does not have")
+    if pid := os.fork():
+        return pid
+    code = 1
     try:
-        for _ in range(lanes):
-            children.append(LaneProcess(lanes))
+        main(*args)
+        code = 0
     except BaseException:
-        for child in children:
-            child.close()
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _lane_process(address, worker_id: str, lanes: int,
+                  backoff: tuple[float, float, int] | None, report: int) -> None:
+    """A forked lane: serve the master at ``address`` with run_lane, then
+    write to the ``report`` pipe one JSON line, the results delivered or
+    why the master was not reached. A replacement, whose ``backoff`` is
+    None, connects once: a refusal means the master is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the supervisor's to handle
+    try:
+        channel = _connect_with_backoff(address, *(backoff or (0.0, 0.0, 0)))
+    except DispatchError as exc:
+        outcome = str(exc) if backoff else 0
+    else:
+        try:
+            outcome = run_lane(channel.send, channel.receive, tasks.execute_task,
+                               worker_id, lanes)
+        finally:
+            channel.close()
+    os.write(report, (json.dumps(outcome) + "\n").encode())
+
+
+def supervise_lanes(address, worker_ids: Sequence[str],
+                    backoff: tuple[float, float, int]) -> int:
+    """Fork a lane process per id in ``worker_ids`` to serve the master at
+    ``address``, and a replacement for each lane that exits abnormally;
+    once every lane has ended, return the results they reported (a lane
+    that dies takes its count with it). Raises DispatchError when no lane
+    reached the master, after killing and reaping every live lane on any
+    error. Starts no thread, and reaps any child of the calling process.
+    """
+    read_end, write_end = os.pipe()
+    lanes: dict[int, int] = {}  # pid -> index into worker_ids
+
+    def fork(index: int, backoff: tuple[float, float, int] | None) -> None:
+        pid = fork_process(_lane_process, address, worker_ids[index], len(worker_ids),
+                           backoff, write_end)
+        lanes[pid] = index
+
+    try:
+        for index in range(len(worker_ids)):
+            fork(index, backoff)
+        while lanes:
+            pid, status = os.wait()
+            index = lanes.pop(pid, None)
+            if index is not None and (code := os.waitstatus_to_exitcode(status)):
+                log.warning("lane process %d exited with code %d", pid, code)
+                fork(index, None)
+    except BaseException:
+        for pid in lanes:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         raise
-    return children
+    finally:
+        os.close(write_end)  # every lane has exited, so the pipe now ends
+        with open(read_end, encoding="utf-8") as pipe:
+            outcomes = [json.loads(line) for line in pipe]
+    counts = [o for o in outcomes if isinstance(o, int)]
+    if outcomes and not counts:
+        raise DispatchError(outcomes[0])
+    return sum(counts)
 
 
 def run_lane(
@@ -209,8 +175,8 @@ def run_lane(
     which the master takes as its next request; any other message is
     logged and skipped, and sends nothing. ``send`` returns False once the
     connection is gone; ``recv`` returns None at its end. ``lanes`` is the
-    number of lanes in this process; the executor runs under their shared
-    thread budget.
+    number of lanes that share this host's cores; the executor runs under
+    their shared thread budget.
     """
     delivered = 0
     with thread_budget(lanes):
@@ -247,31 +213,33 @@ def worker_loop(
 ) -> int:
     """Serve tasks from the master at ``connect`` until the batch drains.
 
-    Without an ``executor``, each lane docks in its own LaneProcess, forked
-    before the worker connects, so that no child holds the socket; every
-    process is joined before this returns or raises.
+    Without an ``executor``, the calling process supervises ``slots`` lane
+    processes (supervise_lanes), each with its own connection, and starts
+    no thread. Only a lane's first connect waits under the retry budget; a
+    replacement whose connect is refused ends, so a worker whose master is
+    gone does not wait it out. With an ``executor``, ``slots`` lane
+    threads call it over one connection.
 
     Returns the number of results this worker delivered; a failing task
     costs only itself, and a lost connection ends the lanes with the count
     so far (0 when it is lost before the first task). Raises DispatchError
     when the master stays unreachable after the retry budget (1 s backoff
-    doubling to the 30 s cap by default).
+    doubling to the 30 s cap by default), or, without an executor, when
+    the platform cannot fork.
     """
     if slots < 1:
         raise DispatchError(f"slots must be >= 1, got {slots}")
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    children = fork_lane_processes(slots) if executor is None else []
-    executors = children or [executor] * slots
-    delivered = [0] * slots
-    try:
-        channel = wire.Channel(
-            _connect_with_backoff(connect, backoff_initial, backoff_cap, max_retries),
-            f"{connect[0]}:{connect[1]}",
-        )
+    backoff = (backoff_initial, backoff_cap, max_retries)
+    if executor is None:
+        completed = supervise_lanes(connect, [worker_id] * slots, backoff)
+    else:
+        channel = _connect_with_backoff(connect, *backoff)
+        delivered = [0] * slots
 
         def lane(index: int) -> None:
             try:
-                delivered[index] = run_lane(channel.send, channel.receive, executors[index],
+                delivered[index] = run_lane(channel.send, channel.receive, executor,
                                             worker_id, slots)
             finally:
                 channel.shutdown()  # the master sends one SHUTDOWN for all the lanes
@@ -284,14 +252,6 @@ def worker_loop(
                 t.join()
         finally:
             channel.close()
-    except BaseException:
-        for child in children:
-            child.stop()
-        raise
-    finally:
-        for child in children:
-            child.close()
-
-    completed = sum(delivered)
+        completed = sum(delivered)
     log.info("worker %s done: %d task(s) completed", worker_id, completed)
     return completed

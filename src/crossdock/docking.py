@@ -29,10 +29,11 @@ routine, _spectrum, copies a block into an n^3 buffer at its offset and
 transforms it, skipping the rows and slabs outside the block, which are
 all zero. It transforms the receptor once and the ligand at every
 rotation. The rotation scan holds the receptor spectrum plus one n^3
-complex128 buffer per scanning thread, which dock_pair allocates in the
-calling thread. Past rotation 0, which is reduced under no floor, no
-rotation allocates a float or integer n^3 array: the transforms, the
-product and the candidate reduction run in the buffer.
+complex128 buffer and one n^3 bool mask per scanning thread, which
+dock_pair allocates in the calling thread. Past rotation 0, which is
+reduced under no floor, no rotation allocates an n^3 array: the
+transforms and the product run in the buffer, and the candidate
+reduction thresholds into the mask.
 """
 
 from __future__ import annotations
@@ -560,7 +561,7 @@ class _TopK:
 
 
 def _best_candidates(
-    volume: np.ndarray, k: int, floor: float
+    volume: np.ndarray, k: int, floor: float, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices and scores of the k best entries of one correlation
     volume that score at least ``floor``, ordered by score descending then
@@ -574,15 +575,17 @@ def _best_candidates(
     The threshold comes first: when more than k entries clear the floor,
     their values are partitioned in place and the floor is raised to the
     k-th best of them, so the index array holds only the entries at or
-    above the k-th best score (its ties included).
+    above the k-th best score (its ties included). Both thresholds are
+    written into ``mask``, a caller-owned bool buffer of the volume's size,
+    or a new one when it is None.
     """
     flat = volume.reshape(-1)  # a view: the volume is an n^3 real view of a buffer
     k = min(k, flat.size)
-    above = flat >= floor
+    above = np.greater_equal(flat, floor, out=mask)
     if np.count_nonzero(above) > k:
         values = flat[above]
         values.partition(values.size - k)
-        above = flat >= values[-k]
+        np.greater_equal(flat, values[-k], out=above)
         del values
     sel = np.flatnonzero(above)
     idx = sel[np.argsort(-flat[sel], kind="stable")[:k]]
@@ -655,27 +658,31 @@ def dock_pair(receptor: Structure, ligand: Structure, config: DockConfig | None 
     np.conj(rec_hat_conj, out=rec_hat_conj)
     del rec_grid
     top = _TopK(config.top_k)
-    # One buffer per scanning thread, for this call only: a scan takes one
-    # and puts it back, so no two concurrent scans share one.
+    # One complex buffer and one reduce mask per scanning thread, for this
+    # call only: a scan takes a pair and puts it back, so no two concurrent
+    # scans share one.
     workers = min(config.resolved_threads(), len(rotations))
     buffers: queue.SimpleQueue = queue.SimpleQueue()
-    buffers.put(np.empty_like(rec_hat_conj))
+
+    def pair() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty_like(rec_hat_conj), np.empty(spec.n**3, dtype=bool)
 
     def scan_rotation(ri: int) -> tuple[np.ndarray, np.ndarray]:
         grid = assign_grid(rotate_structure(centered, rotations[ri], lig_center),
                            spec, LIGAND, config.params)
-        buffer = buffers.get()
+        buffer, mask = taken = buffers.get()
         try:
             volume = _correlate(rec_hat_conj, grid.block, grid.lo, buffer)
-            return _best_candidates(volume, config.top_k, top.floor)
+            return _best_candidates(volume, config.top_k, top.floor, mask)
         finally:
-            buffers.put(buffer)
+            buffers.put(taken)
 
+    buffers.put(pair())
     top.merge(0, *scan_rotation(0), spec.n)
     # The other threads' buffers come once rotation 0, reduced under no
     # floor, has freed its temporaries.
     for _ in range(1, workers):
-        buffers.put(np.empty_like(rec_hat_conj))
+        buffers.put(pair())
     if workers <= 1:
         for ri in range(1, len(rotations)):
             top.merge(ri, *scan_rotation(ri), spec.n)

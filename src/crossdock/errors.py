@@ -1,5 +1,5 @@
-"""Exception types shared across the package. Each survives pickling, as an
-exception raised in a lane's docking process must."""
+"""Exception types shared across the package. Each survives pickling: those
+with fields rebuild themselves from them."""
 
 
 class CrossdockError(Exception):

@@ -6,6 +6,7 @@ one the analyzer reads."""
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,42 +322,92 @@ def test_failed_attempts_log_one_line_each_and_a_traceback_only_with_v(tmp_path)
     assert verbose.stderr.count("Traceback") == 3
 
 
-# Runs the CLI with os.fork wrapped, so that the parent reports how many
-# Python threads were running at each fork.
+# Runs the CLI with os.fork wrapped, in this process and in every process
+# forked from it, so that each fork appends to a file the number of Python
+# threads running in the process that forks. With "die", the first task
+# to start ends its lane process with code 7.
 FORK_SPY = """
 import os, sys, threading
 from crossdock import cli
+from crossdock.dispatch import tasks
 
-fork, forks = os.fork, []
+forks, mode = sys.argv[1:3]
+fork, execute = os.fork, tasks.execute_task
 
 def counted_fork():
-    forks.append(threading.active_count())
+    with open(forks, "a") as f:
+        f.write(f"{threading.active_count()}\\n")
     return fork()
 
+def dies_once(task):
+    try:
+        os.close(os.open(forks + ".died", os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return execute(task)
+    os._exit(7)
+
 os.fork = counted_fork
-code = cli.main(sys.argv[1:])
-print("threads at each fork:", forks)
-sys.exit(code)
+if mode == "die":
+    tasks.execute_task = dies_once
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-def test_cross_forks_its_lane_processes_before_any_thread_starts(tmp_path):
-    """Python 3.12 warns when a multi-threaded process forks; as an error,
-    the warning would fail the run. OpenBLAS's idle pool threads, which
+def run_fork_spy(tmp_path, mode: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """``cross`` on two pairs and two lanes under FORK_SPY; returns the run
+    and the thread count at each fork. OpenBLAS's idle pool threads, which
     NumPy starts at import, would count too, and its own fork handler makes
     them safe, so the pool is kept to the calling thread here."""
     receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
     key = write_pdb(tmp_path, make_structure("key", key_points()))
     (tmp_path / "receptors.txt").write_text(f"{receptor}\n{key}\n", encoding="utf-8")
     (tmp_path / "ligands.txt").write_text(f"{key}\n", encoding="utf-8")
+    forks = tmp_path / "forks"
     src = str(Path(crossdock.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     run = subprocess.run(
-        [sys.executable, "-W", "error::DeprecationWarning", "-c", FORK_SPY, "cross",
-         str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"), "--step", "90",
-         "--top-k", "3", "--workers", "2", "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", FORK_SPY, str(forks), mode,
+         "cross", str(tmp_path / "receptors.txt"), str(tmp_path / "ligands.txt"),
+         "--step", "90", "--top-k", "3", "--workers", "2", "--max-attempts", "2",
+         "--out-dir", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert run.returncode == cli.EXIT_OK and run.stderr == "", run.stderr
-    assert run.stdout.splitlines()[-1] == "threads at each fork: [1, 1]"
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert len(report["results"]) == 2 and report["failed"] == []
+    return run, forks.read_text(encoding="utf-8").split()
+
+
+def test_cross_forks_its_lane_processes_before_any_thread_starts(tmp_path):
+    """Python 3.12 warns when a multi-threaded process forks; as an error,
+    the warning would fail the run. The master forks the lanes' supervisor
+    before it starts any thread, and the supervisor, which starts none,
+    forks both lanes."""
+    run, forks = run_fork_spy(tmp_path, "live")
+    assert run.stderr == ""
+    assert forks == ["1"] * 3
+
+
+def test_a_replacement_lane_is_forked_in_a_single_threaded_process(tmp_path):
+    """The lane that dies mid-task is replaced by the supervisor, as
+    single-threaded as at its first forks, and its task, charged one
+    attempt of two, completes."""
+    run, forks = run_fork_spy(tmp_path, "die")
+    deaths = re.findall(r" WARNING lane process \d+ exited with code 7$", run.stderr, re.M)
+    assert len(deaths) == 1, run.stderr
+    assert forks == ["1"] * 4  # the supervisor, two lanes and one replacement
+
+
+def test_lane_processes_need_fork(tmp_path, monkeypatch, capsys):
+    """Without os.fork, cross and worker exit 2 and say why."""
+    monkeypatch.delattr(os, "fork")
+    receptor = write_pdb(tmp_path, make_structure("lock", lock_points()))
+    (tmp_path / "receptors.txt").write_text(f"{receptor}\n", encoding="utf-8")
+    code = cli.main(["cross", str(tmp_path / "receptors.txt"), str(tmp_path / "receptors.txt"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "os.fork" in capsys.readouterr().err
+    assert cli.main(["worker", "--connect", "127.0.0.1:9"]) == cli.EXIT_CONFIG
+    assert "os.fork" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,14 +1,13 @@
 """Dispatch: per-task failures over TCP and in-process, malformed frames on
 either side of a connection, peers of another protocol version, the
 messages each task costs, BatchState bookkeeping under random event
-sequences, the lanes' shared thread budget, the report's JSON, the lanes'
-docking processes, and no thread left running once a test ends."""
+sequences, the lanes' shared thread budget, the report's JSON, the lane
+processes, and no thread or lane process left running once a test ends."""
 
 import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import re
 import socket
@@ -848,9 +847,11 @@ def test_report_json_is_the_json_of_its_dict():
 
 
 # --- lane processes ----------------------------------------------------------
-# Without an executor, each lane docks in a forked child process. A child
-# runs tasks.execute_task, so the tests below that patch it do so before the
-# batch forks its children.
+# Without an executor, each lane is a forked process that runs
+# tasks.execute_task over its own connection, so the tests below that patch
+# it do so before the batch forks its lanes. Each patched executor first
+# notes its lane's pid and its lane's parent's, so that a test can check
+# that no such process is left once the call has returned.
 
 
 def docking_tasks(tmp_path) -> list[DockingTask]:
@@ -872,15 +873,54 @@ def run_batch(transport: str, tasks, lanes: int, policy: DispatchPolicy, hook=No
     return m["value"]
 
 
-def fake_docking(monkeypatch, execute) -> None:
-    monkeypatch.setattr(dispatch_tasks, "execute_task", execute)
+@pytest.fixture
+def pids(tmp_path):
+    path = tmp_path / "pids"
+    path.mkdir()
+    return path
+
+
+def fake_docking(monkeypatch, execute, pids) -> None:
+    """Lanes run ``execute`` for tasks.execute_task, once they have noted in
+    ``pids`` their own pid and their parent's: the supervisor's, or over
+    TCP this process's own."""
+    def noted(task):
+        for pid in (os.getpid(), os.getppid()):
+            (pids / str(pid)).touch()
+        return execute(task)
+
+    monkeypatch.setattr(dispatch_tasks, "execute_task", noted)
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie, which has exited and
+    waits for its parent to reap it, is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(") ", 1)[1][0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def processes_left(pids, within: float = 5.0) -> list[int]:
+    """The noted pids, this process's own aside, still running ``within``
+    seconds from now: a lane killed with its supervisor's process group
+    dies a moment after the kill."""
+    noted = {int(p.name) for p in pids.iterdir()} - {os.getpid()}
+    assert noted
+    deadline = time.monotonic() + within
+    while (left := sorted(p for p in noted if running(p))) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return left
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("transport", ["local", "tcp"])
-def test_lane_processes_give_the_in_process_results(tmp_path, transport, lanes):
+def test_lane_processes_give_the_in_process_results(tmp_path, monkeypatch, pids, transport,
+                                                    lanes):
     tasks = docking_tasks(tmp_path)
     expected = {t.task_id: dataclasses.replace(execute_task(t), wall_time=0.0) for t in tasks}
+    fake_docking(monkeypatch, execute_task, pids)
     policy = DispatchPolicy(max_attempts=1, startup_timeout=STARTUP)
     report = run_batch(transport, tasks, lanes, policy)
     assert report.failed == {}
@@ -888,30 +928,31 @@ def test_lane_processes_give_the_in_process_results(tmp_path, transport, lanes):
     assert got == expected
     for result in report.completed.values():
         assert not result.top_poses.indices.flags.writeable
-    assert multiprocessing.active_children() == []
+    assert processes_left(pids) == []
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
-def test_a_raising_task_in_a_lane_process_fails_as_in_process(monkeypatch, transport):
+def test_a_raising_task_in_a_lane_process_fails_as_in_process(monkeypatch, pids, transport):
     """The failure reason from a child is the in-process one, byte for byte."""
     def execute(task):
         if task.task_id == BAD:
             raise NoAtomsError("bad.pdb: structure has no atoms")
         return sample_result(task.task_id)
 
-    fake_docking(monkeypatch, execute)
+    fake_docking(monkeypatch, execute, pids)
     policy = DispatchPolicy(max_attempts=2, startup_timeout=STARTUP)
     report = run_batch(transport, make_tasks([BAD, *sorted(VALID)]), 2, policy)
     assert report.completed == {tid: sample_result(tid) for tid in VALID}
     assert report.failed == {BAD: 2}
     assert report.errors == {BAD: "NoAtomsError: bad.pdb: structure has no atoms"}
-    assert multiprocessing.active_children() == []
+    assert processes_left(pids) == []
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
-def test_a_lane_process_that_dies_costs_its_task_one_attempt(tmp_path, monkeypatch, transport):
-    """The task whose child exits mid-task is charged once and retried in a
-    replacement child, and the batch completes."""
+def test_a_lane_process_that_dies_costs_its_task_one_attempt(tmp_path, monkeypatch, pids,
+                                                             transport):
+    """The task whose lane exits mid-task is charged once, as a lost worker,
+    and retried, and the batch completes."""
     marker = tmp_path / "died"
 
     def execute(task):
@@ -920,7 +961,7 @@ def test_a_lane_process_that_dies_costs_its_task_one_attempt(tmp_path, monkeypat
             os._exit(7)
         return sample_result(task.task_id)
 
-    fake_docking(monkeypatch, execute)
+    fake_docking(monkeypatch, execute, pids)
     states = []
 
     def hook(state: BatchState) -> None:
@@ -932,19 +973,18 @@ def test_a_lane_process_that_dies_costs_its_task_one_attempt(tmp_path, monkeypat
     assert report.completed == {tid: sample_result(tid) for tid in ids}
     attempts, errors = states[-1]
     assert attempts == {"r1__l3": 1}
-    assert re.fullmatch(r"DispatchError: docking process \d+ exited with code 7",
-                        errors["r1__l3"]), errors
-    assert multiprocessing.active_children() == []
+    assert errors == {"r1__l3": "worker lost"}
+    assert processes_left(pids) == []
 
 
-def test_a_raising_transition_hook_kills_and_joins_every_lane_process(monkeypatch):
+def test_a_raising_transition_hook_kills_and_joins_every_lane_process(monkeypatch, pids):
     """Children busy with a long task are killed, not waited for."""
     def execute(task):
         if task.task_id != "r1__l0":
             time.sleep(10 * STARTUP)
         return sample_result(task.task_id)
 
-    fake_docking(monkeypatch, execute)
+    fake_docking(monkeypatch, execute, pids)
     policy = DispatchPolicy(startup_timeout=STARTUP)
     ids = [f"r1__l{i}" for i in range(4)]
     t0 = time.monotonic()
@@ -952,22 +992,21 @@ def test_a_raising_transition_hook_kills_and_joins_every_lane_process(monkeypatc
         # calls: start, two assignments, r1__l0's result, its lane's next task
         local_pool_run(make_tasks(ids), 2, policy, None, RaisesOnCall(5))
     assert time.monotonic() - t0 < STARTUP
-    assert multiprocessing.active_children() == []
+    assert processes_left(pids) == []
 
 
-def test_a_normal_batch_leaves_no_lane_process(monkeypatch):
-    fake_docking(monkeypatch, lambda task: sample_result(task.task_id))
+def test_a_normal_batch_leaves_no_lane_process(monkeypatch, pids):
+    fake_docking(monkeypatch, lambda task: sample_result(task.task_id), pids)
     ids = [f"r1__l{i}" for i in range(10)]
     report = local_pool_run(make_tasks(ids), 3, DispatchPolicy(startup_timeout=STARTUP))
     assert set(report.completed) == set(ids)
-    assert multiprocessing.active_children() == []
+    assert processes_left(pids, within=0.0) == []
 
 
-def test_many_lane_processes_die_and_are_replaced_at_once(tmp_path, monkeypatch):
-    """More lanes than cores fork replacements while the others run: every
-    task's first attempt ends its child, and each still costs only one
-    attempt, with no child left behind and no pipe kept open by a
-    sibling."""
+def test_many_lane_processes_die_and_are_replaced_at_once(tmp_path, monkeypatch, pids):
+    """More lanes than cores die and are replaced while the others run:
+    every task's first attempt ends its lane, and each still costs only one
+    attempt, with no lane left behind."""
     def execute(task):
         marker = tmp_path / task.task_id
         if not marker.exists():
@@ -975,7 +1014,7 @@ def test_many_lane_processes_die_and_are_replaced_at_once(tmp_path, monkeypatch)
             os._exit(3)
         return sample_result(task.task_id)
 
-    fake_docking(monkeypatch, execute)
+    fake_docking(monkeypatch, execute, pids)
     ids = [f"r1__l{i}" for i in range(16)]
     states = []
     interval = sys.getswitchinterval()
@@ -989,4 +1028,58 @@ def test_many_lane_processes_die_and_are_replaced_at_once(tmp_path, monkeypatch)
     assert time.monotonic() - t0 < STARTUP
     assert report.completed == {tid: sample_result(tid) for tid in ids}
     assert states[-1].failed_attempts == {tid: 1 for tid in ids}
-    assert multiprocessing.active_children() == []
+    assert processes_left(pids) == []
+
+
+def test_a_worker_whose_master_is_unreachable_raises():
+    t0 = time.monotonic()
+    with pytest.raises(DispatchError, match=r"^cannot reach master at 127\.0\.0\.1:\d+ "
+                                            r"after 3 attempts: "):
+        worker_loop(("127.0.0.1", free_port()), slots=2, backoff_initial=0.01,
+                    backoff_cap=0.01, max_retries=2)
+    assert time.monotonic() - t0 < STARTUP
+
+
+def test_a_worker_whose_master_ends_mid_batch_returns(tmp_path, monkeypatch, pids):
+    """The master fails at its second assignment, while the first lane
+    docks. That lane dies once the master is gone, and its replacement,
+    refused, ends without waiting out the backoff budget, which here is
+    longer than the whole test may take."""
+    gone = tmp_path / "master-gone"
+
+    def execute(task):
+        while not gone.exists():
+            time.sleep(0.01)
+        os._exit(9)
+
+    fake_docking(monkeypatch, execute, pids)
+    port = free_port()
+
+    def master():
+        try:
+            return master_run(make_tasks(sorted(VALID)), ("127.0.0.1", port),
+                              DispatchPolicy(startup_timeout=STARTUP), RaisesOnCall(3))
+        finally:
+            gone.touch()
+
+    thread, m = in_thread(master)
+    t0 = time.monotonic()
+    delivered = worker_loop(("127.0.0.1", port), slots=2, backoff_initial=0.05,
+                            backoff_cap=STARTUP, max_retries=8)
+    assert time.monotonic() - t0 < STARTUP / 2
+    join(thread)
+    assert str(m["error"]) == "hook call 3"
+    assert delivered == 0
+    assert processes_left(pids) == []
+
+
+def test_a_platform_without_fork_needs_an_executor(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    policy = DispatchPolicy(startup_timeout=STARTUP)
+    with pytest.raises(DispatchError, match="os.fork"):
+        local_pool_run(make_tasks(sorted(VALID)), 2, policy)
+    with pytest.raises(DispatchError, match="os.fork"):
+        worker_loop(("127.0.0.1", free_port()), slots=2, max_retries=0)
+    report = local_pool_run(make_tasks(sorted(VALID)), 2, policy,
+                            lambda task: sample_result(task.task_id))
+    assert set(report.completed) == VALID

@@ -598,6 +598,28 @@ def test_a_pruned_correlation_allocates_no_grid_sized_temporary():
     assert peak < n ** 3 * 8
 
 
+def test_a_reduce_under_a_settled_floor_allocates_no_grid_sized_mask():
+    """With a caller-owned mask, both thresholds of a reduce write into it:
+    at n = 54 and a floor that only the k best clear, it allocates less
+    than one n^3 bool mask, and returns what a reduce without one does."""
+    n, k = 54, 2000
+    rng = np.random.default_rng(89)
+    volume = (rng.standard_normal((n, n, n)) + 0j).real  # a strided view, as in dock_pair
+    floor = float(np.sort(volume.reshape(-1))[-k])
+    mask = np.empty(n**3, dtype=bool)
+    expected = _best_candidates(volume, k, floor)
+    _best_candidates(volume, k, floor, mask)
+    tracemalloc.start()
+    try:
+        idx, scores = _best_candidates(volume, k, floor, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3
+    assert np.array_equal(idx, expected[0]) and np.array_equal(scores, expected[1])
+    assert len(idx) == k
+
+
 def test_the_rotation_scan_holds_one_buffer_per_thread():
     """At n = 54 and 2 threads, dock_pair's traced peak stays below the
     receptor spectrum plus one complex128 n^3 buffer per thread, one
